@@ -3,16 +3,20 @@
 Configuration lives in a flat ``key = value`` text file; command-line flags
 override file values, and the effective configuration digest is embedded in
 every output header. Exit codes: 0 success, 1 verification or lint failure,
-2 usage error, 3 generation exhaustion.
+2 usage error, 3 generation exhaustion. Unknown configuration keys are a usage
+error. Output files are written beside their target and moved into place only
+when the command succeeds, so a failed command leaves no partial file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
+import os
 import sys
-from typing import Optional
+from typing import Iterator, Optional
 
 from .dataset import (
     CorpusConfig,
@@ -24,6 +28,7 @@ from .dataset import (
     label_steps,
     read_corpus,
     serialize_instance,
+    stored_field_mismatches,
 )
 from .evaluation import (
     evaluate_instances,
@@ -36,7 +41,7 @@ from .evaluation import (
 from .injection import ErrorType, verify_first_error
 from .logic import RuleTemplate
 from .realize import leak_lint, realized
-from .synthesis import SynthesisConfig, verify_chain
+from .synthesis import SynthesisConfig, SynthesisExhausted, verify_chain
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -57,6 +62,39 @@ def parse_kv_file(path: str) -> dict[str, str]:
             key, value = line.split("=", 1)
             out[key.strip()] = value.strip()
     return out
+
+
+_PLAIN_KEYS = (
+    "count", "seed", "step_min", "step_max", "max_facts", "max_attempts",
+    "p_fresh", "min_useful_steps", "side_min", "side_max", "spare_impl_rules",
+    "p_cycle_slot", "distractor_rules", "k_first", "k_exclude_last",
+)
+_WEIGHT_KEYS = tuple(e.value for e in ErrorType) + \
+    tuple(f"weight.{e.value}" for e in ErrorType)
+_TEMPLATE_KEYS = tuple(f"template_weight.{t.value}" for t in RuleTemplate)
+
+
+def _check_keys(kv: dict[str, str], path: str, valid: tuple[str, ...]) -> None:
+    unknown = sorted(set(kv) - set(valid))
+    if unknown:
+        raise ValueError(f"{path}: unknown keys {', '.join(unknown)}; "
+                         f"valid keys: {', '.join(valid)}")
+
+
+@contextlib.contextmanager
+def _atomic_path(path: str) -> Iterator[str]:
+    """A scratch path beside ``path`` that is moved onto it only if the block
+    completes. A device such as /dev/null is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        yield path
+        return
+    scratch = f"{path}.{os.getpid()}.tmp"
+    try:
+        yield scratch
+        os.replace(scratch, path)
+    finally:
+        if os.path.exists(scratch):
+            os.unlink(scratch)
 
 
 def _flags_digest(*parts) -> str:
@@ -113,9 +151,12 @@ def _synthesis_from_kv(kv: dict[str, str]) -> SynthesisConfig:
 
 def build_corpus_config(args) -> CorpusConfig:
     kv = parse_kv_file(args.config) if args.config else {}
+    _check_keys(kv, args.config, _PLAIN_KEYS + _WEIGHT_KEYS + _TEMPLATE_KEYS)
     weights = _weights_from_kv(kv)
     if args.weights:
-        weights = _weights_from_kv(parse_kv_file(args.weights))
+        weight_kv = parse_kv_file(args.weights)
+        _check_keys(weight_kv, args.weights, _WEIGHT_KEYS)
+        weights = _weights_from_kv(weight_kv)
     count = args.count if args.count is not None else int(kv.get("count", "100"))
     seed = args.seed if args.seed is not None else int(kv.get("seed", "0"))
     return CorpusConfig(
@@ -144,12 +185,13 @@ def cmd_synth(args) -> int:
     workers = args.workers
     _echo_config(cfg, workers)
     try:
-        stats = generate_corpus(cfg, args.out, workers=workers)
-    except CorpusExhausted as exc:
+        with _atomic_path(args.out) as out:
+            stats = generate_corpus(cfg, out, workers=workers)
+    except (CorpusExhausted, SynthesisExhausted) as exc:
         print(f"exhausted: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
     stats_path = args.stats or args.out + ".stats"
-    with open(stats_path, "w", encoding="utf-8") as fh:
+    with _atomic_path(stats_path) as out, open(out, "w", encoding="utf-8") as fh:
         fh.write(f"config_digest = {cfg.digest()}\n")
         fh.write(f"schema_version = {cfg.schema_version}\n")
         fh.write(stats.to_text())
@@ -173,6 +215,7 @@ def cmd_verify(args) -> int:
         error_report = verify_first_error(inst)
         if not error_report.ok:
             problems.extend(error_report.failures)
+        problems.extend(stored_field_mismatches(inst))
         labels = label_steps(inst)
         invalid_positions = [l.index for l in labels.erroneous if l.label == "invalid"]
         if not invalid_positions or invalid_positions[0] != inst.k:
@@ -199,7 +242,7 @@ def cmd_realize(args) -> int:
             print(f"LEAK {inst.id} step {v.step_index}: {v.word!r}")
         violations_total += len(violations)
         lines.append(serialize_instance(inst))
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _atomic_path(args.out) as out, open(out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"record": "header", "schema_version": 1,
                              "realized_from": args.corpus,
                              "nl_mode": args.nl_mode,
@@ -258,7 +301,8 @@ def cmd_eval(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
+        with _atomic_path(args.report) as out, \
+                open(out, "w", encoding="utf-8") as fh:
             json.dump(report_obj, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return EXIT_OK

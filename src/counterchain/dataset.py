@@ -35,7 +35,6 @@ from .injection import (
     k_positions,
     verify_first_error,
 )
-from .injection import InjectionConfig
 from .logic import parse_literal, parse_rule, render_rule
 from .realize import ContextProfile
 from .synthesis import CorrectChain, Step, SynthesisConfig, synthesize_chain
@@ -71,8 +70,13 @@ class MalformedRecordError(ValueError):
 
 class CorpusExhausted(RuntimeError):
     def __init__(self, message: str, reasons: dict[str, int]):
-        super().__init__(f"{message}; rejections: {reasons}")
+        # both arguments stay in ``args`` so the error pickles back from a
+        # worker process intact
+        super().__init__(message, reasons)
         self.reasons = reasons
+
+    def __str__(self) -> str:
+        return f"{self.args[0]}; rejections: {self.reasons}"
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +136,32 @@ _KNOWN_KEYS = (
     "error_group", "correct_labels", "erroneous_labels",
     "reached_goal_polarity", "context", "nl",
 )
+_DERIVED_KEYS = ("error_group", "correct_labels", "erroneous_labels",
+                 "reached_goal_polarity")
+
+
+def _derived_fields(inst: Instance) -> dict:
+    """Record fields that follow from the error type, the step lists and k."""
+    labels = label_steps(inst)
+    return {
+        "error_group": inst.error_type.group.value,
+        "correct_labels": [l.label for l in labels.correct],
+        "erroneous_labels": [l.label for l in labels.erroneous],
+        "reached_goal_polarity": inst.reached_goal_polarity,
+    }
+
+
+def stored_field_mismatches(inst: Instance) -> list[str]:
+    """One message per derived field of the record ``inst`` was read from
+    that disagrees with the instance's error type, steps and first-error
+    index."""
+    return [f"stored {key} {inst.stored[key]!r} disagrees with the record "
+            f"(expected {expected!r})"
+            for key, expected in _derived_fields(inst).items()
+            if key in inst.stored and inst.stored[key] != expected]
 
 
 def serialize_instance(inst: Instance) -> str:
-    labels = label_steps(inst)
     obj: dict = {
         "record": "instance",
         "schema_version": SCHEMA_VERSION,
@@ -148,10 +174,7 @@ def serialize_instance(inst: Instance) -> str:
         "erroneous_steps": [_step_to_obj(s) for s in inst.erroneous.steps],
         "first_error_index": inst.k,
         "error_type": inst.error_type.value,
-        "error_group": inst.error_type.group.value,
-        "correct_labels": [l.label for l in labels.correct],
-        "erroneous_labels": [l.label for l in labels.erroneous],
-        "reached_goal_polarity": inst.reached_goal_polarity,
+        **_derived_fields(inst),
         "context": ({"name": inst.context.name, "background": inst.context.background}
                     if inst.context is not None else None),
         "nl": inst.nl,
@@ -160,16 +183,6 @@ def serialize_instance(inst: Instance) -> str:
         if key not in _KNOWN_KEYS:
             obj[key] = value
     return json.dumps(obj, separators=(",", ":"))
-
-
-def _replay_state_log(chain: CorrectChain, steps: tuple[Step, ...]):
-    state = chain.base_state()
-    log = []
-    for step in steps:
-        if not state.holds(step.conclusion):
-            state = state.with_literal(step.conclusion, overwrite=True)
-        log.append(state)
-    return tuple(log)
 
 
 def deserialize_instance(line: str, line_number: Optional[int] = None) -> Instance:
@@ -191,6 +204,8 @@ def deserialize_instance(line: str, line_number: Optional[int] = None) -> Instan
                               for i, s in enumerate(obj["correct_steps"]))
         erroneous_steps = tuple(_step_from_obj(s, i + 1)
                                 for i, s in enumerate(obj["erroneous_steps"]))
+        if not erroneous_steps:
+            raise MalformedRecordError("erroneous_steps is empty", line_number)
         correct = CorrectChain(base, rules, correct_steps, goal)
         error_type = ErrorType(obj["error_type"])
         stored_group = obj.get("error_group")
@@ -202,16 +217,16 @@ def deserialize_instance(line: str, line_number: Optional[int] = None) -> Instan
             steps=erroneous_steps,
             first_error_index=int(obj["first_error_index"]),
             error_type=error_type,
-            corrupted_state_log=_replay_state_log(correct, erroneous_steps),
         )
         context = obj.get("context")
         profile = (ContextProfile(context["name"], context["background"])
                    if context else None)
         extras = {k: v for k, v in obj.items() if k not in _KNOWN_KEYS}
+        stored = {k: obj[k] for k in _DERIVED_KEYS if obj.get(k) is not None}
         return Instance(
             id=obj["id"], goal=goal, base_facts=base, rules=rules,
             correct=correct, erroneous=erroneous, seed=int(obj.get("seed", 0)),
-            context=profile, nl=obj.get("nl"), extras=extras,
+            context=profile, nl=obj.get("nl"), extras=extras, stored=stored,
         )
     except (KeyError, ValueError, TypeError) as exc:
         if isinstance(exc, (SchemaMismatchError, MalformedRecordError)):
@@ -231,26 +246,44 @@ def header_record(cfg: "CorpusConfig") -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _parse_header(line: str, line_number: int) -> Optional[dict]:
+    """The header object if ``line`` is a header record, else None."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise MalformedRecordError(f"not valid JSON: {exc}", line_number) from exc
+    if not isinstance(obj, dict) or obj.get("record") != "header":
+        return None
+    version = obj.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise SchemaMismatchError(f"schema_version {version!r} unsupported")
+    return obj
+
+
 def read_corpus(path: str) -> tuple[Optional[dict], list[Instance]]:
-    """Returns (header, instances); raises with a line number on bad records."""
+    """Returns (header, instances); raises with a line number on bad records.
+
+    Only the first non-blank line may be a header. When the header states a
+    ``total_count``, the number of instance records must match it.
+    """
     header: Optional[dict] = None
     instances: list[Instance] = []
+    first = True
     with open(path, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            if line.startswith('{"record":"header"'):
-                try:
-                    header = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedRecordError(f"bad header: {exc}", number) from exc
-                version = header.get("schema_version")
-                if version != SCHEMA_VERSION:
-                    raise SchemaMismatchError(
-                        f"schema_version {version!r} unsupported")
-                continue
+            if first:
+                first = False
+                header = _parse_header(line, number)
+                if header is not None:
+                    continue
             instances.append(deserialize_instance(line, number))
+    expected = header.get("total_count") if header else None
+    if expected is not None and expected != len(instances):
+        raise MalformedRecordError(f"header total_count {expected!r} but "
+                                   f"{len(instances)} instance records")
     return header, instances
 
 
@@ -359,8 +392,6 @@ def build_instance(cfg: CorpusConfig, index: int,
     """Rejection-sample chains and injection sites until ``target`` verifies."""
     seed = derive_seed(cfg.seed, index)
     rng = random.Random(seed)
-    icfg = InjectionConfig(error_weights=cfg.error_weights, k_first=cfg.k_first,
-                           k_exclude_last=cfg.k_exclude_last)
     reasons: dict[str, int] = {}
 
     def note(reason: str) -> None:
@@ -377,8 +408,8 @@ def build_instance(cfg: CorpusConfig, index: int,
         if not lo <= len(chain.steps) + shift <= hi:
             note("length-budget")
             continue
-        sites = [k for k in k_positions(len(chain.steps), icfg)
-                 if target in applicable_errors(chain, k)]
+        positions = k_positions(len(chain.steps), cfg.k_first, cfg.k_exclude_last)
+        sites = [k for k in positions if target in applicable_errors(chain, k)]
         if not sites:
             note("no-applicable-site")
             continue

@@ -21,20 +21,20 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .logic import FactId, Literal, Rule, RuleTemplate, State, TruthValue
+from .logic import FactId, Literal, Rule, RuleTemplate, TruthValue
 from .prover import (
     Direction,
     Status,
     entails,
-    licensed_patterns,
     match_pattern,
-    patterns_concluding,
+    patterns_concluding_fact,
 )
 from .synthesis import (
     CorrectChain,
     Step,
     check_step_local,
     step_supports,
+    topological_order,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -80,7 +80,6 @@ class ErroneousChain:
     steps: tuple[Step, ...]
     first_error_index: int
     error_type: ErrorType
-    corrupted_state_log: tuple[State, ...]  # state after each step
 
 
 @dataclass(frozen=True)
@@ -95,6 +94,9 @@ class Instance:
     context: "ContextProfile | None" = None
     nl: Optional[dict] = None
     extras: dict = field(default_factory=dict)
+    # derived fields (labels, polarity) as stored in the record this instance
+    # was read from; ``verify`` compares them with what the instance implies
+    stored: dict = field(default_factory=dict, compare=False)
 
     @property
     def k(self) -> int:
@@ -134,17 +136,6 @@ def _established_literals(chain: CorrectChain, upto: int) -> set[Literal]:
     for step in chain.steps[: upto - 1]:
         out.add(step.conclusion)
     return out
-
-
-def _consumed_after(chain: CorrectChain, lit: Literal, position: int) -> bool:
-    return any(lit in s.supports for s in chain.steps[position:])
-
-
-def _replaceable(chain: CorrectChain, k: int) -> bool:
-    """Step k's conclusion feeds nothing later and is not the goal step."""
-    if k >= len(chain.steps):
-        return False
-    return not _consumed_after(chain, chain.steps[k - 1].conclusion, k)
 
 
 def _vacuous_hooks(chain: CorrectChain, k: int) -> list[Rule]:
@@ -329,19 +320,7 @@ def inject(chain: CorrectChain, k: int, e: ErrorType, seed: int) -> ErroneousCha
 
     corrupted_prefix = prefix + (corrupted,)
     downstream = recompute_downstream(chain, corrupted_prefix, seed, originals=rest)
-    steps = corrupted_prefix + tuple(downstream)
-    log = _state_log(chain, steps)
-    return ErroneousChain(steps, k, e, log)
-
-
-def _state_log(chain: CorrectChain, steps: Sequence[Step]) -> tuple[State, ...]:
-    state = chain.base_state()
-    log = []
-    for step in steps:
-        if not state.holds(step.conclusion):
-            state = state.with_literal(step.conclusion, overwrite=True)
-        log.append(state)
-    return tuple(log)
+    return ErroneousChain(corrupted_prefix + tuple(downstream), k, e)
 
 
 def recompute_downstream(chain: CorrectChain, corrupted_prefix: Sequence[Step],
@@ -357,10 +336,8 @@ def recompute_downstream(chain: CorrectChain, corrupted_prefix: Sequence[Step],
     """
     if originals is None:
         originals = chain.steps[len(corrupted_prefix):]
-    state = chain.base_state()
-    for step in corrupted_prefix:
-        if not state.holds(step.conclusion):
-            state = state.with_literal(step.conclusion, overwrite=True)
+    state = chain.base_state().with_literals(
+        (step.conclusion for step in corrupted_prefix), overwrite=True)
 
     out: list[Step] = []
     next_index = len(corrupted_prefix) + 1
@@ -391,11 +368,6 @@ def recompute_downstream(chain: CorrectChain, corrupted_prefix: Sequence[Step],
     return out
 
 
-def patterns_concluding_fact(rule: Rule, fact: FactId):
-    facts = rule.facts()
-    return tuple(p for p in licensed_patterns(rule) if facts[p.derived[0]] == fact)
-
-
 # ---------------------------------------------------------------------------
 # verification
 
@@ -407,33 +379,6 @@ class InstanceReport:
 
     def reason(self) -> str:
         return self.failures[0] if self.failures else "ok"
-
-
-def _has_cycle(steps: Sequence[Step]) -> bool:
-    concluded_by = {}
-    for step in steps:
-        concluded_by.setdefault(step.conclusion, step.index)
-    graph: dict[int, set[int]] = {s.index: set() for s in steps}
-    for step in steps:
-        for lit in step.supports:
-            src = concluded_by.get(lit)
-            if src is not None and src != step.index:
-                graph[step.index].add(src)
-    seen: dict[int, int] = {}
-
-    def visit(node: int) -> bool:
-        state = seen.get(node, 0)
-        if state == 1:
-            return True
-        if state == 2:
-            return False
-        seen[node] = 1
-        if any(visit(dep) for dep in graph[node]):
-            return True
-        seen[node] = 2
-        return False
-
-    return any(visit(i) for i in graph)
 
 
 def _structural_predicate(inst: Instance, established: set[Literal]) -> Optional[str]:
@@ -452,7 +397,8 @@ def _structural_predicate(inst: Instance, established: set[Literal]) -> Optional
     if e is ErrorType.MISSING_PREREQUISITE:
         if any(l not in established for l in step.supports):
             return None
-        patterns = patterns_concluding(step.rule, step.conclusion)
+        patterns = [p for p in patterns_concluding_fact(step.rule, step.conclusion.fact)
+                    if p.derived[1] == step.conclusion.value]
         if not patterns:
             return "no pattern can conclude the corrupted step's literal"
         if all(any(p not in established for p in pat.bind_premises(step.rule))
@@ -460,9 +406,11 @@ def _structural_predicate(inst: Instance, established: set[Literal]) -> Optional
             return None
         return "every required premise is established"
     # CIRCULAR_REFERENCE
-    if not _has_cycle(chain.steps):
-        return "no dependency cycle"
-    return None
+    try:
+        topological_order(chain.steps)
+    except ValueError:
+        return None
+    return "no dependency cycle"
 
 
 def verify_first_error(inst: Instance) -> InstanceReport:
@@ -533,79 +481,6 @@ def verify_first_error(inst: Instance) -> InstanceReport:
     return InstanceReport(not failures, tuple(failures))
 
 
-# ---------------------------------------------------------------------------
-# sampling
-
-
-@dataclass(frozen=True)
-class InjectionConfig:
-    error_weights: tuple[tuple[ErrorType, float], ...]
-    k_first: int = 2
-    k_exclude_last: bool = True
-    max_attempts: int = 64
-
-
-@dataclass(frozen=True)
-class Rejection:
-    reasons: dict[str, int]
-
-    def total(self) -> int:
-        return sum(self.reasons.values())
-
-
-def k_positions(chain_length: int, cfg: InjectionConfig) -> list[int]:
-    last = chain_length - 1 if cfg.k_exclude_last else chain_length
-    return list(range(cfg.k_first, last + 1))
-
-
-def sample_error_type(weights, applicable: set[ErrorType], seed: int) -> ErrorType:
-    """Categorical draw proportional to the weights restricted to the
-    applicable set; deterministic in seed."""
-    pool = [(e, w) for e, w in weights if e in applicable and w > 0]
-    if not pool:
-        raise ValueError("no applicable error type has positive weight")
-    rng = random.Random(seed)
-    types, ws = zip(*pool)
-    return rng.choices(types, weights=ws, k=1)[0]
-
-
-def build_counterfactual(chain: CorrectChain, cfg: InjectionConfig,
-                         seed: int) -> Instance | Rejection:
-    """Sample an intermediate position and a compatible error type, inject,
-    recompute, verify; rejection-sample up to cfg.max_attempts."""
-    rng = random.Random(seed)
-    reasons: dict[str, int] = {}
-
-    def note(reason: str) -> None:
-        reasons[reason] = reasons.get(reason, 0) + 1
-
-    positions = k_positions(len(chain.steps), cfg)
-    if not positions:
-        return Rejection({"no-position": 1})
-    for attempt in range(cfg.max_attempts):
-        k = rng.choice(positions)
-        applicable = applicable_errors(chain, k)
-        if not applicable:
-            note("no-applicable-type")
-            continue
-        try:
-            e = sample_error_type(cfg.error_weights, applicable, rng.getrandbits(48))
-        except ValueError:
-            note("no-applicable-type")
-            continue
-        try:
-            err = inject(chain, k, e, rng.getrandbits(48))
-        except InjectionInfeasible:
-            note("infeasible")
-            continue
-        except DownstreamStuck:
-            note("downstream-stuck")
-            continue
-        inst = Instance(id=f"cf-{seed:x}-{attempt}", goal=chain.goal,
-                        base_facts=chain.base_facts, rules=chain.rules,
-                        correct=chain, erroneous=err, seed=seed)
-        report = verify_first_error(inst)
-        if report.ok:
-            return inst
-        note(report.reason().split(":")[0])
-    return Rejection(reasons)
+def k_positions(chain_length: int, k_first: int, k_exclude_last: bool) -> list[int]:
+    last = chain_length - 1 if k_exclude_last else chain_length
+    return list(range(k_first, last + 1))

@@ -31,7 +31,6 @@ from .logic import (
     State,
     Xor,
     XorConstraint,
-    expr_facts,
     make_rule,
 )
 
@@ -45,10 +44,6 @@ class UniverseTooLargeError(ValueError):
 
 class PropagationContradiction(ValueError):
     """A pattern derived the negation of an assigned value."""
-
-
-class InconsistentPrefixError(ValueError):
-    """A step was checked against a theory-inconsistent prefix; upstream bug."""
 
 
 @dataclass(frozen=True)
@@ -306,9 +301,10 @@ def match_pattern(rule: Rule, supports: Iterable[Literal],
     return None
 
 
-def patterns_concluding(rule: Rule, conclusion: Literal) -> tuple[InferencePattern, ...]:
-    return tuple(p for p in licensed_patterns(rule)
-                 if p.bind_derived(rule) == conclusion)
+def patterns_concluding_fact(rule: Rule, fact: FactId) -> tuple[InferencePattern, ...]:
+    """Licensed patterns of ``rule`` that derive ``fact``, either value."""
+    facts = rule.facts()
+    return tuple(p for p in licensed_patterns(rule) if facts[p.derived[0]] == fact)
 
 
 def propagate(theory: Theory, s: State) -> State:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .logic import (
     And,
@@ -97,9 +97,6 @@ class CorrectChain:
         for step in self.steps[: index - 1]:
             state = state.with_literal(step.conclusion)
         return state
-
-    def final_state(self) -> State:
-        return self.state_before(len(self.steps) + 1)
 
 
 def step_supports(rule: Rule, conclusion_fact: FactId, state: State) -> tuple[Literal, ...]:
@@ -639,27 +636,6 @@ def check_step_local(theory: Theory, state: State, established: set[Literal],
     return StepCheck(step.index, sem, procedural, pattern, fresh)
 
 
-def check_step_semantic(theory: Theory, prefix_state: State, step: Step) -> bool:
-    """True iff every support and the conclusion are entailed by the prefix.
-
-    Structural defects (unestablished supports, unlicensed direction) are out
-    of scope here. An inconsistent prefix is an upstream synthesis bug and
-    raises rather than returning a verdict.
-    """
-    from .prover import InconsistentPrefixError
-
-    table = model_table(theory)
-    rows = table.restrict_state(prefix_state)
-    if rows.size == 0:
-        raise InconsistentPrefixError("prefix state contradicts the theory")
-    for lit in (*step.supports, step.conclusion):
-        if prefix_state.holds(lit):
-            continue
-        if table.decide(rows, lit).status is not Status.ENTAILED:
-            return False
-    return True
-
-
 def verify_chain(chain: CorrectChain) -> ChainReport:
     failures: list[str] = []
     try:
@@ -696,7 +672,7 @@ def verify_chain(chain: CorrectChain) -> ChainReport:
             established.add(step.conclusion)
 
     try:
-        topological_order(chain)
+        topological_order(chain.steps)
     except ValueError:
         failures.append("dependency cycle")
 
@@ -708,11 +684,17 @@ def verify_chain(chain: CorrectChain) -> ChainReport:
     return ChainReport(not failures, tuple(failures), tuple(checks))
 
 
-def topological_order(chain: CorrectChain) -> list[int]:
-    """Dependency-respecting 1-based step order, stable on original index."""
-    concluded_by = {s.conclusion: s.index for s in chain.steps}
-    deps: dict[int, set[int]] = {s.index: set() for s in chain.steps}
-    for step in chain.steps:
+def topological_order(steps: Sequence[Step]) -> list[int]:
+    """Dependency-respecting 1-based step order, stable on original index.
+
+    Each support depends on the first step concluding it; raises ValueError
+    when the steps support each other in a cycle.
+    """
+    concluded_by: dict[Literal, int] = {}
+    for step in steps:
+        concluded_by.setdefault(step.conclusion, step.index)
+    deps: dict[int, set[int]] = {s.index: set() for s in steps}
+    for step in steps:
         for lit in step.supports:
             src = concluded_by.get(lit)
             if src is not None and src != step.index:

@@ -78,16 +78,10 @@ def bakery_instance() -> Instance:
         _step(6, ["[F1]=True", "[F2]=False"],
               "([F0] and [F1]) -> [F2]", "[F0]=False"),
     )
-    state = correct.base_state()
-    log = []
-    for step in steps:
-        state = state.with_literal(step.conclusion, overwrite=True)
-        log.append(state)
     erroneous = ErroneousChain(
         steps=steps,
         first_error_index=4,
         error_type=ErrorType.MISSING_PREREQUISITE,
-        corrupted_state_log=tuple(log),
     )
     return Instance(
         id="golden-bakery",
@@ -134,16 +128,10 @@ def navigator_instance() -> Instance:
     steps = correct.steps[:6] + (
         _step(7, ["[F0]=False"], "[F0] xor [F1]", "[F1]=False"),
     )
-    state = correct.base_state()
-    log = []
-    for step in steps:
-        state = state.with_literal(step.conclusion, overwrite=True)
-        log.append(state)
     erroneous = ErroneousChain(
         steps=steps,
         first_error_index=7,
         error_type=ErrorType.XOR_AS_EQUIV,
-        corrupted_state_log=tuple(log),
     )
     return Instance(
         id="golden-navigator",

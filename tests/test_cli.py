@@ -216,3 +216,86 @@ def test_parse_kv_rejects_garbage(tmp_path):
 
 def test_unknown_flag_usage_error(capsys):
     assert _run(capsys, "synth", "--nope")[0] == 2
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_synth_exhaustion_exits_3_and_leaves_no_file(tmp_path, capsys, workers):
+    config = tmp_path / "starved.cfg"
+    config.write_text("max_facts = 3\nmax_attempts = 2\n")
+    out = tmp_path / "c.jsonl"
+    out.write_text("earlier corpus\n")
+    code, _, stderr = _run(capsys, "synth", "--count", "5", "--config", str(config),
+                           "--workers", workers, "--out", str(out))
+    assert code == 3
+    assert "exhausted" in stderr
+    assert out.read_text() == "earlier corpus\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "starved.cfg"]
+
+
+@pytest.mark.parametrize("line", ["step_mx = 9", "weight.xor_as_eqiv = 0"])
+def test_unknown_config_key_is_usage_error(tmp_path, capsys, line):
+    config = tmp_path / "typo.cfg"
+    config.write_text(line + "\n")
+    out = tmp_path / "c.jsonl"
+    code, _, stderr = _run(capsys, "synth", "--count", "2", "--config", str(config),
+                           "--out", str(out))
+    assert code == 2
+    assert line.split(" = ")[0] in stderr
+    assert "valid keys" in stderr and "step_max" in stderr
+    assert not out.exists()
+
+
+def _flip(label: str) -> str:
+    return "valid" if label == "invalid" else "invalid"
+
+
+def _tamper_error_group(header, record):
+    record["error_group"] = ("structural" if record["error_group"] == "truth_state"
+                             else "truth_state")
+
+
+def _tamper_correct_labels(header, record):
+    record["correct_labels"][0] = _flip(record["correct_labels"][0])
+
+
+def _tamper_erroneous_labels(header, record):
+    k = record["first_error_index"]
+    record["erroneous_labels"][k - 1] = _flip(record["erroneous_labels"][k - 1])
+
+
+def _tamper_reached_goal_polarity(header, record):
+    record["reached_goal_polarity"] = not record["reached_goal_polarity"]
+
+
+def _tamper_total_count(header, record):
+    header["total_count"] += 1
+
+
+def _tamper_erroneous_steps(header, record):
+    record["erroneous_steps"] = []
+
+
+@pytest.mark.parametrize("tamper", [
+    _tamper_error_group, _tamper_correct_labels, _tamper_erroneous_labels,
+    _tamper_reached_goal_polarity, _tamper_total_count, _tamper_erroneous_steps,
+], ids=lambda f: f.__name__.removeprefix("_tamper_"))
+def test_verify_rejects_tampered_stored_field(tmp_path, capsys, tamper):
+    out = tmp_path / "c.jsonl"
+    _run(capsys, "synth", "--count", "4", "--seed", "2", "--out", str(out))
+    header, *records = [json.loads(l) for l in out.read_text().splitlines()]
+    tamper(header, records[1])
+    out.write_text("".join(json.dumps(o, separators=(",", ":")) + "\n"
+                           for o in (header, *records)))
+    code, _, _ = _run(capsys, "verify", str(out))
+    assert code != 0
+
+
+def test_header_detected_with_default_json_spacing(tmp_path, capsys):
+    out = tmp_path / "c.jsonl"
+    _run(capsys, "synth", "--count", "3", "--seed", "2", "--out", str(out))
+    lines = out.read_text().splitlines()
+    lines[0] = json.dumps(json.loads(lines[0]))
+    out.write_text("\n".join(lines) + "\n")
+    code, stdout, _ = _run(capsys, "verify", str(out))
+    assert code == 0
+    assert "verified 3 instances, 0 failures" in stdout

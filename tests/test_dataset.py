@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
@@ -14,7 +15,6 @@ from counterchain import (
     generate_corpus,
     label_steps,
     read_corpus,
-    sample_error_type,
     serialize_instance,
     type_quotas,
     verify_chain,
@@ -49,26 +49,6 @@ def test_default_weights_cover_all_types_and_published_mass():
     types = {e for e, _ in DEFAULT_ERROR_WEIGHTS}
     assert types == set(ErrorType)
     assert sum(w for _, w in DEFAULT_ERROR_WEIGHTS) == 20000
-
-
-def test_sample_error_type_unrestricted_frequency():
-    hits = 0
-    n = 200_000
-    for s in range(n):
-        if sample_error_type(DEFAULT_ERROR_WEIGHTS, set(ErrorType), s) is \
-                ErrorType.XOR_AS_EQUIV:
-            hits += 1
-    assert abs(hits / n - 0.1805) < 0.005
-
-
-def test_sample_error_type_uniform_weights():
-    weights = tuple((e, 1.0) for e in ErrorType)
-    counts = {e: 0 for e in ErrorType}
-    n = 110_000
-    for s in range(n):
-        counts[sample_error_type(weights, set(ErrorType), s)] += 1
-    for e, c in counts.items():
-        assert abs(c / n - 1 / 11) < 0.01, e
 
 
 def test_type_quotas_largest_remainder_exact():
@@ -213,6 +193,14 @@ def test_generation_exhaustion_raises_with_histogram():
     with pytest.raises(CorpusExhausted) as err:
         generate_corpus(starved, "/dev/null")
     assert err.value.reasons  # rejection histogram travels with the error
+
+
+def test_corpus_exhausted_pickles_with_histogram():
+    # worker processes hand the error back to the parent by pickling
+    from counterchain import CorpusExhausted
+    back = pickle.loads(pickle.dumps(CorpusExhausted("index 3", {"infeasible": 2})))
+    assert back.reasons == {"infeasible": 2}
+    assert str(back) == "index 3; rejections: {'infeasible': 2}"
 
 
 def test_hash_split_deterministic_and_balanced():

@@ -3,34 +3,35 @@ from __future__ import annotations
 import pytest
 
 from counterchain import (
+    CorpusConfig,
     DownstreamStuck,
     ErrorGroup,
     ErrorType,
-    InjectionConfig,
     InjectionInfeasible,
     Instance,
     Literal,
-    Rejection,
     Status,
     Step,
-    SynthesisConfig,
     applicable_errors,
-    build_counterfactual,
     entails,
     inject,
     parse_literal,
     parse_rule,
     recompute_downstream,
-    sample_error_type,
-    synthesize_chain,
     verify_first_error,
 )
+from counterchain.dataset import build_instance
 from counterchain.injection import k_positions, spare_implications
+from counterchain.prover import match_pattern
 from counterchain.synthesis import CorrectChain
 
 from . import fixtures
 
-ALL_WEIGHTS = tuple((e, 1.0) for e in ErrorType)
+
+def _built(target: ErrorType, count: int = 5, seed: int = 3) -> list[Instance]:
+    """``count`` instances of ``target`` from the corpus generation loop."""
+    cfg = CorpusConfig(total_count=count, seed=seed)
+    return [build_instance(cfg, index, target)[0] for index in range(count)]
 
 
 def _mk_step(index, supports, rule, conclusion):
@@ -173,8 +174,7 @@ def test_verify_rejects_still_derivable_corruption():
                          parse_literal("[F2]=False"))
     from counterchain import ErroneousChain
     err = ErroneousChain(steps=steps, first_error_index=1,
-                         error_type=ErrorType.PARTIAL_EVALUATION,
-                         corrupted_state_log=())
+                         error_type=ErrorType.PARTIAL_EVALUATION)
     inst = Instance(id="t", goal=chain.goal, base_facts=chain.base_facts,
                     rules=chain.rules, correct=chain, erroneous=err)
     report = verify_first_error(inst)
@@ -191,7 +191,6 @@ def test_verify_rejects_wrong_k():
             steps=inst.erroneous.steps,
             first_error_index=5,
             error_type=inst.error_type,
-            corrupted_state_log=inst.erroneous.corrupted_state_log,
         ))
     report = verify_first_error(shifted)
     assert not report.ok
@@ -211,162 +210,59 @@ def test_redundant_step_inserts_duplicate():
 
 
 def test_truth_state_corruptions_never_derivable():
-    cfg = SynthesisConfig()
-    icfg = InjectionConfig(error_weights=ALL_WEIGHTS)
     checked = 0
-    for seed in range(60):
-        chain = synthesize_chain(cfg, seed)
-        result = build_counterfactual(chain, icfg, seed=seed)
-        if isinstance(result, Rejection):
+    for e in ErrorType:
+        if e.group is not ErrorGroup.TRUTH_STATE:
             continue
-        if result.error_type.group is not ErrorGroup.TRUTH_STATE:
-            continue
-        k = result.k
-        prefix = result.correct.state_before(k)
-        corrupted = result.erroneous.steps[k - 1].conclusion
-        verdict = entails(result.correct.theory(), prefix, corrupted)
-        assert verdict.status is Status.NOT_ENTAILED
-        checked += 1
+        for inst in _built(e, count=2):
+            prefix = inst.correct.state_before(inst.k)
+            corrupted = inst.erroneous.steps[inst.k - 1].conclusion
+            verdict = entails(inst.correct.theory(), prefix, corrupted)
+            assert verdict.status is Status.NOT_ENTAILED
+            checked += 1
     assert checked >= 10
 
 
 def test_prefix_equality_on_generated_instances():
-    cfg = SynthesisConfig()
-    icfg = InjectionConfig(error_weights=ALL_WEIGHTS)
-    accepted = 0
-    for seed in range(40):
-        chain = synthesize_chain(cfg, seed)
-        result = build_counterfactual(chain, icfg, seed=seed)
-        if isinstance(result, Rejection):
-            continue
-        accepted += 1
-        for t in range(result.k - 1):
-            assert result.erroneous.steps[t].content_equals(result.correct.steps[t])
-    assert accepted >= 20
-
-
-def test_build_counterfactual_deterministic():
-    cfg = SynthesisConfig()
-    icfg = InjectionConfig(error_weights=ALL_WEIGHTS)
-    chain = synthesize_chain(cfg, seed=9)
-    a = build_counterfactual(chain, icfg, seed=77)
-    b = build_counterfactual(chain, icfg, seed=77)
-    assert type(a) is type(b)
-    if isinstance(a, Instance):
-        assert a.erroneous == b.erroneous
-
-
-def test_rejection_accounting():
-    # an inflexible chain: every position's only applicable types are sampled
-    # but a tiny attempt budget forces a Rejection with reasons recorded
-    cfg = SynthesisConfig()
-    chain = synthesize_chain(cfg, seed=3)
-    icfg = InjectionConfig(error_weights=((ErrorType.XOR_AS_OR, 1.0),),
-                           max_attempts=3)
-    result = build_counterfactual(chain, icfg, seed=5)
-    if isinstance(result, Rejection):
-        assert result.total() == 3
-        assert all(v > 0 for v in result.reasons.values())
-
-
-def test_sample_error_type_restricted_and_deterministic():
-    weights = ALL_WEIGHTS
-    applicable = {ErrorType.XOR_AS_EQUIV, ErrorType.REDUNDANT_STEP}
-    picks = {sample_error_type(weights, applicable, seed=s) for s in range(50)}
-    assert picks <= applicable
-    assert sample_error_type(weights, applicable, seed=7) == \
-        sample_error_type(weights, applicable, seed=7)
-
-
-def test_sample_error_type_single_choice_and_empty():
-    assert sample_error_type(ALL_WEIGHTS, {ErrorType.DROP_CONDITION}, 0) is \
-        ErrorType.DROP_CONDITION
-    with pytest.raises(ValueError):
-        sample_error_type(ALL_WEIGHTS, set(), 0)
+    for e in ErrorType:
+        for inst in _built(e, count=2):
+            for t in range(inst.k - 1):
+                assert inst.erroneous.steps[t].content_equals(inst.correct.steps[t])
 
 
 def test_vacuous_truth_uses_spare_implication_and_overwrites():
-    cfg = SynthesisConfig()
-    icfg = InjectionConfig(error_weights=((ErrorType.VACUOUS_TRUTH_ERROR, 1.0),),
-                           max_attempts=32)
-    found = 0
-    for seed in range(80):
-        chain = synthesize_chain(cfg, seed)
-        result = build_counterfactual(chain, icfg, seed=seed)
-        if isinstance(result, Rejection):
-            continue
-        found += 1
-        step = result.erroneous.steps[result.k - 1]
-        assert step.rule in spare_implications(result.correct)
+    for inst in _built(ErrorType.VACUOUS_TRUTH_ERROR):
+        step = inst.erroneous.steps[inst.k - 1]
+        assert step.rule in spare_implications(inst.correct)
         a, b = step.rule.facts()
         assert step.supports == (Literal(a, False),)
         assert step.conclusion == Literal(b, False)
         # the overwritten fact was established true in the prefix
-        assert result.correct.state_before(result.k).holds(Literal(b, True))
-        if found >= 5:
-            break
-    assert found >= 5
+        assert inst.correct.state_before(inst.k).holds(Literal(b, True))
 
 
 def test_converse_cites_established_consequent():
-    cfg = SynthesisConfig()
-    icfg = InjectionConfig(error_weights=((ErrorType.CONVERSE_ERROR, 1.0),),
-                           max_attempts=32)
-    found = 0
-    for seed in range(60):
-        chain = synthesize_chain(cfg, seed)
-        result = build_counterfactual(chain, icfg, seed=seed)
-        if isinstance(result, Rejection):
-            continue
-        found += 1
-        step = result.erroneous.steps[result.k - 1]
-        from counterchain.prover import match_pattern
+    for inst in _built(ErrorType.CONVERSE_ERROR):
+        step = inst.erroneous.steps[inst.k - 1]
         assert match_pattern(step.rule, step.supports, step.conclusion) is None
-        if found >= 5:
-            break
-    assert found >= 5
 
 
 def test_circular_reference_creates_mutual_support():
-    cfg = SynthesisConfig()
-    icfg = InjectionConfig(error_weights=((ErrorType.CIRCULAR_REFERENCE, 1.0),),
-                           max_attempts=32)
-    found = 0
-    for seed in range(80):
-        chain = synthesize_chain(cfg, seed)
-        result = build_counterfactual(chain, icfg, seed=seed)
-        if isinstance(result, Rejection):
-            continue
-        found += 1
-        k = result.k
-        step = result.erroneous.steps[k - 1]
-        cited = set(step.supports) - set(result.correct.steps[k - 1].supports)
+    for inst in _built(ErrorType.CIRCULAR_REFERENCE):
+        k = inst.k
+        step = inst.erroneous.steps[k - 1]
+        cited = set(step.supports) - set(inst.correct.steps[k - 1].supports)
         assert len(cited) == 1
         (future,) = cited
-        later = [s for s in result.erroneous.steps[k:] if s.conclusion == future]
+        later = [s for s in inst.erroneous.steps[k:] if s.conclusion == future]
         assert later and step.conclusion in later[0].supports
-        if found >= 5:
-            break
-    assert found >= 5
 
 
 def test_or_and_confusion_contradicts_established_support():
-    cfg = SynthesisConfig()
-    icfg = InjectionConfig(error_weights=((ErrorType.OR_AND_CONFUSION, 1.0),),
-                           max_attempts=32)
-    found = 0
-    for seed in range(80):
-        chain = synthesize_chain(cfg, seed)
-        result = build_counterfactual(chain, icfg, seed=seed)
-        if isinstance(result, Rejection):
-            continue
-        found += 1
-        step = result.erroneous.steps[result.k - 1]
-        prefix = result.correct.state_before(result.k)
+    for inst in _built(ErrorType.OR_AND_CONFUSION):
+        step = inst.erroneous.steps[inst.k - 1]
+        prefix = inst.correct.state_before(inst.k)
         assert prefix.holds(step.conclusion.negated())
-        if found >= 5:
-            break
-    assert found >= 5
 
 
 def test_infeasible_injection_raises():
@@ -375,34 +271,7 @@ def test_infeasible_injection_raises():
         inject(chain, 1, ErrorType.MISSING_PREREQUISITE, seed=0)
 
 
-def test_state_log_matches_replay():
-    cfg = SynthesisConfig()
-    icfg = InjectionConfig(error_weights=ALL_WEIGHTS)
-    checked = 0
-    for seed in range(30):
-        chain = synthesize_chain(cfg, seed)
-        result = build_counterfactual(chain, icfg, seed=seed)
-        if isinstance(result, Rejection):
-            continue
-        checked += 1
-        log = result.erroneous.corrupted_state_log
-        assert len(log) == len(result.erroneous.steps)
-        state = result.correct.base_state()
-        for step, snapshot in zip(result.erroneous.steps, log):
-            if not state.holds(step.conclusion):
-                state = state.with_literal(step.conclusion, overwrite=True)
-            assert snapshot == state
-            # every consumed support agrees with the snapshot before it
-        for t in range(result.k, len(result.erroneous.steps)):
-            prior = log[t - 1]
-            for lit in result.erroneous.steps[t].supports:
-                assert prior.holds(lit)
-    assert checked >= 15
-
-
 def test_k_positions_default_excludes_endpoints():
-    icfg = InjectionConfig(error_weights=ALL_WEIGHTS)
-    assert k_positions(7, icfg) == [2, 3, 4, 5, 6]
-    wide = InjectionConfig(error_weights=ALL_WEIGHTS, k_first=1,
-                           k_exclude_last=False)
-    assert k_positions(7, wide) == [1, 2, 3, 4, 5, 6, 7]
+    cfg = CorpusConfig(total_count=1, seed=0)
+    assert k_positions(7, cfg.k_first, cfg.k_exclude_last) == [2, 3, 4, 5, 6]
+    assert k_positions(7, 1, False) == [1, 2, 3, 4, 5, 6, 7]
