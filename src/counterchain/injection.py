@@ -319,13 +319,12 @@ def inject(chain: CorrectChain, k: int, e: ErrorType, seed: int) -> ErroneousCha
         raise InjectionInfeasible("canonical corruption coincides with the correct step")
 
     corrupted_prefix = prefix + (corrupted,)
-    downstream = recompute_downstream(chain, corrupted_prefix, seed, originals=rest)
+    downstream = recompute_downstream(chain, corrupted_prefix, originals=rest)
     return ErroneousChain(corrupted_prefix + tuple(downstream), k, e)
 
 
 def recompute_downstream(chain: CorrectChain, corrupted_prefix: Sequence[Step],
-                         seed: int, *, originals: Optional[Sequence[Step]] = None,
-                         ) -> list[Step]:
+                         *, originals: Optional[Sequence[Step]] = None) -> list[Step]:
     """Re-derive the continuation under the state left by the corrupted prefix.
 
     Each remaining original step re-applies its rule toward the same target

@@ -1,11 +1,15 @@
 """Entailment over small fact universes, plus the licensed inference patterns.
 
-The backend enumerates every full True/False assignment of the universe with
-bitmask vectors, keeps the satisfying ones, and answers queries by filtering.
-Universes are small by construction (cap 24, default chains stay well under),
-which keeps the prover trivially auditable. ``propagate`` is a unit-propagation
-fast path over the pattern catalog; it is sound but not complete, and the test
-suite cross-checks it against enumeration.
+The backend is a truth table held in one Python int per theory: bit ``a`` is
+set iff assignment ``a`` (bit ``i`` of ``a`` is the value of the ``i``-th
+universe fact) satisfies every rule. A fact's column is the periodic mask of
+the assignments where it is true, so each rule, each restriction and each
+query is a few bitwise operations over the whole table (the "bitwise tricks"
+of Knuth, TAOCP 4A section 7.1.3). Universes are small by construction (cap
+24, a 2 MB table; default chains stay well under), which keeps the prover
+trivially auditable. ``propagate`` is a unit-propagation fast path over the
+pattern catalog; it is sound but not complete, and the test suite cross-checks
+it against enumeration.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
-
-import numpy as np
 
 from .logic import (
     And,
@@ -35,7 +37,6 @@ from .logic import (
 )
 
 UNIVERSE_CAP = 24
-_CHUNK_BITS = 20
 
 
 class UniverseTooLargeError(ValueError):
@@ -86,61 +87,70 @@ class EntailmentResult:
         return self.status is Status.ENTAILED
 
 
-def _rule_mask(rule: Rule, columns: dict[FactId, int], assign: np.ndarray) -> np.ndarray:
-    def ev(e: Expr) -> np.ndarray:
-        if isinstance(e, Atom):
-            return (assign >> columns[e.fact]) & 1 == 1
-        a, b = ev(e.left), ev(e.right)
-        if isinstance(e, And):
-            return a & b
-        if isinstance(e, Or):
-            return a | b
-        return a ^ b
+@functools.lru_cache(maxsize=None)
+def _column(n: int, i: int) -> int:
+    """Fact slot ``i``'s column in an n-fact table: bit ``a`` set iff ``a`` has bit ``i``."""
+    if n < 3:
+        return sum(1 << a for a in range(1 << n) if a >> i & 1)
+    if i < 3:
+        pattern = bytes([(0xAA, 0xCC, 0xF0)[i]])
+    else:
+        half = 1 << (i - 3)
+        pattern = b"\x00" * half + b"\xff" * half
+    return int.from_bytes(pattern * ((1 << (n - 3)) // len(pattern)), "little")
 
-    s = rule.shape
-    if isinstance(s, XorConstraint):
-        left = (assign >> columns[s.left]) & 1 == 1
-        right = (assign >> columns[s.right]) & 1 == 1
-        return left ^ right
-    return ~ev(s.antecedent) | ev(s.consequent)
+
+def _rows_of(e: Expr, columns: dict[FactId, int]) -> int:
+    """The assignments under which ``e`` is true."""
+    if isinstance(e, Atom):
+        return columns[e.fact]
+    a, b = _rows_of(e.left, columns), _rows_of(e.right, columns)
+    if isinstance(e, And):
+        return a & b
+    if isinstance(e, Or):
+        return a | b
+    return a ^ b
 
 
 class ModelTable:
-    """All satisfying full assignments of a theory, as bitmasks."""
+    """All satisfying full assignments of a theory, one bit per assignment."""
 
     def __init__(self, theory: Theory):
         self.theory = theory
-        self.columns = {f: i for i, f in enumerate(theory.universe)}
         n = len(theory.universe)
-        chunks = []
-        for lo in range(0, 1 << n, 1 << min(n, _CHUNK_BITS)):
-            hi = min((1 << n), lo + (1 << _CHUNK_BITS))
-            assign = np.arange(lo, hi, dtype=np.int64)
-            ok = np.ones(assign.shape, dtype=bool)
-            for rule in theory.rules:
-                ok &= _rule_mask(rule, self.columns, assign)
-            chunks.append(assign[ok])
-        self.models = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+        self.slots = {f: i for i, f in enumerate(theory.universe)}
+        self.columns = cols = {f: _column(n, i) for f, i in self.slots.items()}
+        full = (1 << (1 << n)) - 1
+        rows = full
+        for rule in theory.rules:
+            s = rule.shape
+            if isinstance(s, XorConstraint):
+                rows &= cols[s.left] ^ cols[s.right]
+            else:
+                rows &= (full ^ _rows_of(s.antecedent, cols)) | _rows_of(s.consequent, cols)
+        self.rows = rows
 
-    def restrict(self, models: np.ndarray, lit: Literal) -> np.ndarray:
-        bit = (models >> self.columns[lit.fact]) & 1
-        return models[bit == (1 if lit.value else 0)]
+    def restrict(self, rows: int, lit: Literal) -> int:
+        # rows ^ (rows & col) is rows & ~col; it avoids negative big ints,
+        # whose bitwise ops are several times slower
+        kept = rows & self.columns[lit.fact]
+        return kept if lit.value else rows ^ kept
 
-    def restrict_state(self, s: State) -> np.ndarray:
-        models = self.models
+    def restrict_state(self, s: State) -> int:
+        rows = self.rows
         for lit in s.literals():
-            models = self.restrict(models, lit)
-        return models
+            rows = self.restrict(rows, lit)
+        return rows
 
-    def decide(self, models: np.ndarray, q: Literal) -> EntailmentResult:
-        if models.size == 0:
+    def decide(self, rows: int, q: Literal) -> EntailmentResult:
+        if not rows:
             return EntailmentResult(Status.INCONSISTENT)
-        bit = (models >> self.columns[q.fact]) & 1
-        want = 1 if q.value else 0
-        if bool(np.all(bit == want)):
+        against = rows ^ self.restrict(rows, q)
+        if not against:
             return EntailmentResult(Status.ENTAILED)
-        counter = int(models[bit != want][0])
-        assignment = {f: bool((counter >> i) & 1) for f, i in self.columns.items()}
+        # the lowest disagreeing assignment, so the witness is deterministic
+        counter = (against & -against).bit_length() - 1
+        assignment = {f: bool((counter >> i) & 1) for f, i in self.slots.items()}
         return EntailmentResult(Status.NOT_ENTAILED, witness=State(assignment))
 
 
@@ -154,7 +164,7 @@ def count_models(theory: Theory, s: State) -> int:
     stray = [f for f in s.facts() if f not in set(theory.universe)]
     if stray:
         raise ValueError(f"state mentions facts outside universe: {stray}")
-    return int(model_table(theory).restrict_state(s).size)
+    return model_table(theory).restrict_state(s).bit_count()
 
 
 def entails(theory: Theory, s: State, q: Literal) -> EntailmentResult:

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -299,3 +303,46 @@ def test_header_detected_with_default_json_spacing(tmp_path, capsys):
     code, stdout, _ = _run(capsys, "verify", str(out))
     assert code == 0
     assert "verified 3 instances, 0 failures" in stdout
+
+
+@pytest.mark.parametrize("command", ["synth", "realize", "eval"])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, command):
+    corpus = tmp_path / "c.jsonl"
+    assert _run(capsys, "synth", "--count", "2", "--seed", "5",
+                "--out", str(corpus))[0] == 0
+    target = str(tmp_path / "missing_dir" / "x.json")
+    argv = {
+        "synth": ["synth", "--count", "2", "--seed", "5", "--out", target],
+        "realize": ["realize", str(corpus), "--out", target],
+        "eval": ["eval", "--corpus", str(corpus), "--judge", "oracle",
+                 "--report", target],
+    }[command]
+    code, _, stderr = _run(capsys, *argv)
+    assert code == 2
+    assert "cannot write" in stderr
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_verify_reports_out_of_range_error_index_once(tmp_path, capsys):
+    out = tmp_path / "c.jsonl"
+    _run(capsys, "synth", "--count", "3", "--seed", "2", "--out", str(out))
+    header, *records = [json.loads(l) for l in out.read_text().splitlines()]
+    records[0]["first_error_index"] = len(records[0]["erroneous_steps"]) + 1
+    out.write_text("".join(json.dumps(o, separators=(",", ":")) + "\n"
+                           for o in (header, *records)))
+    code, stdout, _ = _run(capsys, "verify", str(out))
+    assert code == 1
+    fails = [l for l in stdout.splitlines() if l.startswith("FAIL")]
+    assert len(fails) == 1
+    assert "out of range" in fails[0]
+    assert "label vector" not in fails[0]
+
+
+def test_cli_imports_without_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.modules['numpy'] = None; import counterchain.cli"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr

@@ -129,7 +129,7 @@ def test_recompute_empty_after_last_step():
     chain = fixtures.navigator_correct()
     corrupted = chain.steps[:6] + (
         _mk_step(7, ["[F0]=False"], "[F0] xor [F1]", "[F1]=False"),)
-    assert recompute_downstream(chain, corrupted, seed=0) == []
+    assert recompute_downstream(chain, corrupted) == []
 
 
 def test_recompute_rederives_via_same_pattern():
@@ -137,7 +137,7 @@ def test_recompute_rederives_via_same_pattern():
     corrupted = (chain.steps[0],
                  _mk_step(2, ["[F6]=False", "[F7]=True"],
                           "[F2] -> ([F6] and [F7])", "[F2]=True"))
-    out = recompute_downstream(chain, corrupted, seed=0)
+    out = recompute_downstream(chain, corrupted)
     assert len(out) == 1
     assert out[0].conclusion == parse_literal("[F3]=False")
 
@@ -153,7 +153,7 @@ def test_recompute_stuck_when_consumer_premises_gone():
                          parse_literal("[F2]=True"))
     corrupted = (_mk_step(1, ["[F0]=False"], "[F0] xor [F1]", "[F1]=False"),)
     with pytest.raises(DownstreamStuck):
-        recompute_downstream(chain, corrupted, seed=0)
+        recompute_downstream(chain, corrupted)
 
 
 def test_verify_accepts_golden_instances():

@@ -19,9 +19,11 @@ from counterchain import (
     theory_for,
 )
 from counterchain.prover import (
+    UNIVERSE_CAP,
     Direction,
     PropagationContradiction,
     UniverseTooLargeError,
+    _column,
     match_pattern,
     verify_catalog,
 )
@@ -54,9 +56,18 @@ def test_count_models_direct_violation():
 
 
 def test_count_models_free_facts_power_of_two():
-    for n in range(1, 11):
+    for n in (*range(0, 11), UNIVERSE_CAP):
         theory = Theory((), tuple(F(i) for i in range(n)))
         assert count_models(theory, State()) == 2 ** n
+        if n:
+            assert count_models(theory, State({F(n - 1): True})) == 2 ** (n - 1)
+
+
+def test_columns_match_assignment_bits():
+    for n in range(0, 10):
+        for i in range(n):
+            expected = sum(1 << a for a in range(1 << n) if (a >> i) & 1)
+            assert _column(n, i) == expected
 
 
 def test_universe_cap():
