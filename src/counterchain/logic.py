@@ -4,6 +4,11 @@ Atoms are written ``[F<n>]``; connectives are ``and``, ``or``, ``xor`` and the
 rule arrow ``->``. Negation is not a connective: negative information lives in
 False-valued assignments. Partial states evaluate under strong Kleene
 semantics (False < Unknown < True, conjunction = min, disjunction = max).
+
+A rule is flat: one of seven templates plus its slot facts (A, B[, C]).
+``TEMPLATES`` gives each template's slot count and canonical text. The
+expression tree exists only at the parse boundary: ``parse_rule`` parses the
+text into a tree and ``make_rule`` maps the tree to its ``Rule``.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 
 class ExprSyntaxError(ValueError):
@@ -103,14 +108,6 @@ class Xor:
 Expr = Union[Atom, And, Or, Xor]
 
 
-def expr_facts(e: Expr) -> Iterator[FactId]:
-    if isinstance(e, Atom):
-        yield e.fact
-    else:
-        yield from expr_facts(e.left)
-        yield from expr_facts(e.right)
-
-
 class RuleTemplate(enum.Enum):
     IMPL = "impl"            # A -> B
     AND_ANTE = "and_ante"    # (A and B) -> C
@@ -133,24 +130,42 @@ class XorConstraint:
     right: FactId
 
 
+# Per template: the slot count and the canonical text, in which {0}, {1}, {2}
+# stand for the slot facts (A, B[, C]).
+TEMPLATES: dict[RuleTemplate, tuple[int, str]] = {
+    RuleTemplate.IMPL: (2, "{0} -> {1}"),
+    RuleTemplate.AND_ANTE: (3, "({0} and {1}) -> {2}"),
+    RuleTemplate.AND_CONS: (3, "{0} -> ({1} and {2})"),
+    RuleTemplate.OR_ANTE: (3, "({0} or {1}) -> {2}"),
+    RuleTemplate.OR_CONS: (3, "{0} -> ({1} or {2})"),
+    RuleTemplate.XOR_ANTE: (3, "({0} xor {1}) -> {2}"),
+    RuleTemplate.XOR_BARE: (2, "{0} xor {1}"),
+}
+
+
 @dataclass(frozen=True)
 class Rule:
-    shape: Union[Implication, XorConstraint]
+    """A template with its slot facts, one distinct fact per slot."""
+
     template: RuleTemplate
+    slots: tuple[FactId, ...]
+
+    def __post_init__(self):
+        if len(self.slots) != TEMPLATES[self.template][0]:
+            raise RuleShapeError(
+                f"{self.template.value} takes {TEMPLATES[self.template][0]} slots, "
+                f"got {len(self.slots)}")
+        if len(set(self.slots)) != len(self.slots):
+            raise RuleShapeError("rule binds the same fact to multiple slots")
 
     def facts(self) -> tuple[FactId, ...]:
         """Template slot facts in slot order (A, B[, C])."""
-        s = self.shape
-        if isinstance(s, XorConstraint):
-            return (s.left, s.right)
-        ante, cons = s.antecedent, s.consequent
-        if self.template is RuleTemplate.IMPL:
-            return (ante.fact, cons.fact)
-        if self.template in (RuleTemplate.AND_ANTE, RuleTemplate.OR_ANTE,
-                             RuleTemplate.XOR_ANTE):
-            return (ante.left.fact, ante.right.fact, cons.fact)
-        # AND_CONS / OR_CONS
-        return (ante.fact, cons.left.fact, cons.right.fact)
+        return self.slots
+
+    @property
+    def shape(self) -> Union[Implication, XorConstraint]:
+        """The expression tree of the canonical text."""
+        return _parse_shape(render_rule(self))
 
     def __str__(self) -> str:
         return render_rule(self)
@@ -278,49 +293,45 @@ def _split_arrow(text: str) -> tuple[str, str] | None:
     return text[:p], text[p + 2:]
 
 
-def _binary_atoms(e: Expr) -> tuple[FactId, FactId] | None:
-    if isinstance(e, (And, Or, Xor)) and isinstance(e.left, Atom) and isinstance(e.right, Atom):
-        return (e.left.fact, e.right.fact)
-    return None
+def _binary_atoms(e: Expr) -> bool:
+    return isinstance(e, (And, Or, Xor)) and isinstance(e.left, Atom) \
+        and isinstance(e.right, Atom)
 
 
-def parse_rule(text: str) -> Rule:
+def _parse_shape(text: str) -> Union[Implication, XorConstraint]:
     parts = _split_arrow(text)
     if parts is None:
         expr = parse_expr(text)
-        if isinstance(expr, Xor) and _binary_atoms(expr) is not None:
-            return make_rule(XorConstraint(expr.left.fact, expr.right.fact))
+        if isinstance(expr, Xor) and _binary_atoms(expr):
+            return XorConstraint(expr.left.fact, expr.right.fact)
         raise RuleShapeError(f"unsupported rule shape: {text.strip()!r}")
-    ante = parse_expr(parts[0])
-    cons = parse_expr(parts[1])
-    return make_rule(Implication(ante, cons))
+    return Implication(parse_expr(parts[0]), parse_expr(parts[1]))
 
 
-def _classify(shape: Union[Implication, XorConstraint]) -> RuleTemplate:
-    if isinstance(shape, XorConstraint):
-        return RuleTemplate.XOR_BARE
-    ante, cons = shape.antecedent, shape.consequent
-    if isinstance(ante, Atom) and isinstance(cons, Atom):
-        return RuleTemplate.IMPL
-    if isinstance(cons, Atom) and _binary_atoms(ante) is not None:
-        return {And: RuleTemplate.AND_ANTE, Or: RuleTemplate.OR_ANTE,
-                Xor: RuleTemplate.XOR_ANTE}[type(ante)]
-    if isinstance(ante, Atom) and _binary_atoms(cons) is not None:
-        if isinstance(cons, And):
-            return RuleTemplate.AND_CONS
-        if isinstance(cons, Or):
-            return RuleTemplate.OR_CONS
-    raise RuleShapeError(f"unsupported rule shape: {render_expr(ante)} -> {render_expr(cons)}")
+def parse_rule(text: str) -> Rule:
+    return make_rule(_parse_shape(text))
+
+
+_ANTE_TEMPLATES = {And: RuleTemplate.AND_ANTE, Or: RuleTemplate.OR_ANTE,
+                   Xor: RuleTemplate.XOR_ANTE}
+_CONS_TEMPLATES = {And: RuleTemplate.AND_CONS, Or: RuleTemplate.OR_CONS}
 
 
 def make_rule(shape: Union[Implication, XorConstraint]) -> Rule:
-    """Build a Rule, inferring its template and enforcing slot distinctness."""
-    template = _classify(shape)
-    rule = Rule(shape, template)
-    facts = rule.facts()
-    if len(set(facts)) != len(facts):
-        raise RuleShapeError("rule binds the same fact to multiple slots")
-    return rule
+    """The Rule a parsed tree denotes; RuleShapeError when it fits no template
+    or binds one fact to two slots."""
+    if isinstance(shape, XorConstraint):
+        return Rule(RuleTemplate.XOR_BARE, (shape.left, shape.right))
+    ante, cons = shape.antecedent, shape.consequent
+    if isinstance(ante, Atom) and isinstance(cons, Atom):
+        return Rule(RuleTemplate.IMPL, (ante.fact, cons.fact))
+    if isinstance(cons, Atom) and _binary_atoms(ante):
+        return Rule(_ANTE_TEMPLATES[type(ante)],
+                    (ante.left.fact, ante.right.fact, cons.fact))
+    if isinstance(ante, Atom) and type(cons) in _CONS_TEMPLATES and _binary_atoms(cons):
+        return Rule(_CONS_TEMPLATES[type(cons)],
+                    (ante.fact, cons.left.fact, cons.right.fact))
+    raise RuleShapeError(f"unsupported rule shape: {render_expr(ante)} -> {render_expr(cons)}")
 
 
 def render_expr(e: Expr) -> str:
@@ -331,10 +342,7 @@ def render_expr(e: Expr) -> str:
 
 
 def render_rule(r: Rule) -> str:
-    s = r.shape
-    if isinstance(s, XorConstraint):
-        return f"{s.left} xor {s.right}"
-    return f"{render_expr(s.antecedent)} -> {render_expr(s.consequent)}"
+    return TEMPLATES[r.template][1].format(*r.slots)
 
 
 class StateConflictError(ValueError):

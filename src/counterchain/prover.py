@@ -21,19 +21,13 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .logic import (
-    And,
-    Atom,
-    Expr,
+    TEMPLATES,
     FactId,
-    Implication,
     Literal,
-    Or,
     Rule,
     RuleTemplate,
     State,
-    Xor,
-    XorConstraint,
-    make_rule,
+    TruthValue,
 )
 
 UNIVERSE_CAP = 24
@@ -100,16 +94,17 @@ def _column(n: int, i: int) -> int:
     return int.from_bytes(pattern * ((1 << (n - 3)) // len(pattern)), "little")
 
 
-def _rows_of(e: Expr, columns: dict[FactId, int]) -> int:
-    """The assignments under which ``e`` is true."""
-    if isinstance(e, Atom):
-        return columns[e.fact]
-    a, b = _rows_of(e.left, columns), _rows_of(e.right, columns)
-    if isinstance(e, And):
-        return a & b
-    if isinstance(e, Or):
-        return a | b
-    return a ^ b
+# The assignments satisfying each template, as a function of the all-ones
+# mask and the slot columns (A, B[, C]).
+_TEMPLATE_ROWS = {
+    RuleTemplate.IMPL: lambda full, a, b: (full ^ a) | b,
+    RuleTemplate.AND_ANTE: lambda full, a, b, c: (full ^ (a & b)) | c,
+    RuleTemplate.AND_CONS: lambda full, a, b, c: (full ^ a) | (b & c),
+    RuleTemplate.OR_ANTE: lambda full, a, b, c: (full ^ (a | b)) | c,
+    RuleTemplate.OR_CONS: lambda full, a, b, c: (full ^ a) | b | c,
+    RuleTemplate.XOR_ANTE: lambda full, a, b, c: (full ^ (a ^ b)) | c,
+    RuleTemplate.XOR_BARE: lambda full, a, b: a ^ b,
+}
 
 
 class ModelTable:
@@ -123,11 +118,7 @@ class ModelTable:
         full = (1 << (1 << n)) - 1
         rows = full
         for rule in theory.rules:
-            s = rule.shape
-            if isinstance(s, XorConstraint):
-                rows &= cols[s.left] ^ cols[s.right]
-            else:
-                rows &= (full ^ _rows_of(s.antecedent, cols)) | _rows_of(s.consequent, cols)
+            rows &= _TEMPLATE_ROWS[rule.template](full, *map(cols.__getitem__, rule.slots))
         self.rows = rows
 
     def restrict(self, rows: int, lit: Literal) -> int:
@@ -161,7 +152,8 @@ def model_table(theory: Theory) -> ModelTable:
 
 def count_models(theory: Theory, s: State) -> int:
     """Number of full assignments extending ``s`` that satisfy every rule."""
-    stray = [f for f in s.facts() if f not in set(theory.universe)]
+    universe = set(theory.universe)
+    stray = [f for f in s.facts() if f not in universe]
     if stray:
         raise ValueError(f"state mentions facts outside universe: {stray}")
     return model_table(theory).restrict_state(s).bit_count()
@@ -254,33 +246,20 @@ _CATALOG: dict[RuleTemplate, tuple[InferencePattern, ...]] = {
     ),
 }
 
-def _template_rule(template: RuleTemplate) -> Rule:
-    a, b, c = FactId(0), FactId(1), FactId(2)
-    shapes = {
-        RuleTemplate.IMPL: Implication(Atom(a), Atom(b)),
-        RuleTemplate.AND_ANTE: Implication(And(Atom(a), Atom(b)), Atom(c)),
-        RuleTemplate.AND_CONS: Implication(Atom(a), And(Atom(b), Atom(c))),
-        RuleTemplate.OR_ANTE: Implication(Or(Atom(a), Atom(b)), Atom(c)),
-        RuleTemplate.OR_CONS: Implication(Atom(a), Or(Atom(b), Atom(c))),
-        RuleTemplate.XOR_ANTE: Implication(Xor(Atom(a), Atom(b)), Atom(c)),
-        RuleTemplate.XOR_BARE: XorConstraint(a, b),
-    }
-    return make_rule(shapes[template])
-
 
 @functools.lru_cache(maxsize=1)
 def verify_catalog() -> bool:
     """Check every pattern sound by enumeration over its template's slot atoms."""
     for template, patterns in _CATALOG.items():
-        rule = _template_rule(template)
-        arity = len(rule.facts())
+        arity = TEMPLATES[template][0]
+        rule = Rule(template, tuple(FactId(i) for i in range(arity)))
+        rule_theory = theory_for([rule])
         for pattern in patterns:
             premises = pattern.bind_premises(rule)
             derived = pattern.bind_derived(rule)
             for bits in itertools.product([False, True], repeat=arity):
                 assignment = {FactId(i): bits[i] for i in range(arity)}
                 state = State(assignment)
-                rule_theory = theory_for([rule])
                 if count_models(rule_theory, state) == 0:
                     continue
                 if all(state.holds(p) for p in premises) and not state.holds(derived):
@@ -329,7 +308,7 @@ def propagate(theory: Theory, s: State) -> State:
                     continue
                 derived = pattern.bind_derived(rule)
                 current = state.value_of(derived.fact)
-                if current.name != "UNKNOWN":
+                if current is not TruthValue.UNKNOWN:
                     if bool(current) != derived.value:
                         raise PropagationContradiction(
                             f"{rule} derives {derived} against established value")

@@ -20,22 +20,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .logic import (
-    And,
-    Atom,
-    FactId,
-    Implication,
-    Literal,
-    Or,
-    Rule,
-    RuleTemplate,
-    State,
-    TruthValue,
-    Xor,
-    XorConstraint,
-    make_rule,
-)
+from .logic import TEMPLATES, FactId, Literal, Rule, RuleTemplate, State, TruthValue
 from .prover import (
+    _CATALOG,
+    InferencePattern,
     Status,
     Theory,
     count_models,
@@ -140,60 +128,31 @@ class SynthesisConfig:
             raise ValueError("template_weights must be non-empty")
 
 
-@dataclass(frozen=True)
-class _Shape:
-    """A derivation direction as seen from generation: concluded slot/value,
-    premised slot/value pairs, remaining slots free."""
-
-    template: RuleTemplate
-    premises: tuple[tuple[int, bool], ...]
-    derived: tuple[int, bool]
-
-    def arity(self) -> int:
-        return 2 if self.template in (RuleTemplate.IMPL, RuleTemplate.XOR_BARE) else 3
-
-    def passive_slots(self) -> tuple[int, ...]:
-        used = {self.derived[0], *(i for i, _ in self.premises)}
-        return tuple(i for i in range(self.arity()) if i not in used)
+def _pick(*choices: tuple[RuleTemplate, int]) -> tuple[InferencePattern, ...]:
+    return tuple(_CATALOG[template][i] for template, i in choices)
 
 
-_SHAPES_TRUE: tuple[_Shape, ...] = (
-    _Shape(RuleTemplate.IMPL, ((0, True),), (1, True)),
-    _Shape(RuleTemplate.XOR_BARE, ((0, False),), (1, True)),
-    _Shape(RuleTemplate.AND_ANTE, ((0, True), (1, True)), (2, True)),
-    _Shape(RuleTemplate.AND_CONS, ((0, True),), (1, True)),
-    _Shape(RuleTemplate.OR_ANTE, ((0, True),), (2, True)),
-    _Shape(RuleTemplate.OR_CONS, ((0, True), (1, False)), (2, True)),
-    _Shape(RuleTemplate.XOR_ANTE, ((2, False), (1, True)), (0, True)),
-    _Shape(RuleTemplate.XOR_ANTE, ((0, True), (1, False)), (2, True)),
+# the derivation directions goal expansion draws from, by concluded value
+_SHAPES_TRUE = _pick(
+    (RuleTemplate.IMPL, 0),      # A=T => B=T
+    (RuleTemplate.XOR_BARE, 1),  # A=F => B=T
+    (RuleTemplate.AND_ANTE, 0),  # A=T, B=T => C=T
+    (RuleTemplate.AND_CONS, 0),  # A=T => B=T
+    (RuleTemplate.OR_ANTE, 0),   # A=T => C=T
+    (RuleTemplate.OR_CONS, 0),   # A=T, B=F => C=T
+    (RuleTemplate.XOR_ANTE, 2),  # C=F, B=T => A=T
+    (RuleTemplate.XOR_ANTE, 0),  # A=T, B=F => C=T
 )
 
-_SHAPES_FALSE: tuple[_Shape, ...] = (
-    _Shape(RuleTemplate.IMPL, ((1, False),), (0, False)),
-    _Shape(RuleTemplate.XOR_BARE, ((0, True),), (1, False)),
-    _Shape(RuleTemplate.AND_ANTE, ((2, False), (0, True)), (1, False)),
-    _Shape(RuleTemplate.AND_CONS, ((1, False),), (0, False)),
-    _Shape(RuleTemplate.OR_ANTE, ((2, False),), (0, False)),
-    _Shape(RuleTemplate.OR_CONS, ((1, False), (2, False)), (0, False)),
-    _Shape(RuleTemplate.XOR_ANTE, ((2, False), (1, False)), (0, False)),
+_SHAPES_FALSE = _pick(
+    (RuleTemplate.IMPL, 1),      # B=F => A=F
+    (RuleTemplate.XOR_BARE, 0),  # A=T => B=F
+    (RuleTemplate.AND_ANTE, 1),  # C=F, A=T => B=F
+    (RuleTemplate.AND_CONS, 2),  # B=F => A=F
+    (RuleTemplate.OR_ANTE, 2),   # C=F => A=F
+    (RuleTemplate.OR_CONS, 2),   # B=F, C=F => A=F
+    (RuleTemplate.XOR_ANTE, 3),  # C=F, B=F => A=F
 )
-
-
-def _build_rule(template: RuleTemplate, slots: list[FactId]) -> Rule:
-    a = [Atom(f) for f in slots]
-    if template is RuleTemplate.IMPL:
-        return make_rule(Implication(a[0], a[1]))
-    if template is RuleTemplate.XOR_BARE:
-        return make_rule(XorConstraint(slots[0], slots[1]))
-    if template is RuleTemplate.AND_ANTE:
-        return make_rule(Implication(And(a[0], a[1]), a[2]))
-    if template is RuleTemplate.AND_CONS:
-        return make_rule(Implication(a[0], And(a[1], a[2])))
-    if template is RuleTemplate.OR_ANTE:
-        return make_rule(Implication(Or(a[0], a[1]), a[2]))
-    if template is RuleTemplate.OR_CONS:
-        return make_rule(Implication(a[0], Or(a[1], a[2])))
-    return make_rule(Implication(Xor(a[0], a[1]), a[2]))
 
 
 @dataclass
@@ -249,7 +208,7 @@ class _Builder:
         self.leaves.append(lit)
         return lit
 
-    def pick_shape(self, value: bool) -> _Shape:
+    def pick_shape(self, value: bool) -> InferencePattern:
         shapes = _SHAPES_TRUE if value else _SHAPES_FALSE
         weights = dict(self.cfg.template_weights)
         pool = [s for s in shapes if weights.get(s.template, 0.0) > 0.0]
@@ -257,7 +216,7 @@ class _Builder:
             raise ValueError("no template with positive weight fits the subgoal")
         return self.rng.choices(pool, weights=[weights[s.template] for s in pool], k=1)[0]
 
-    def _bind_passive(self, shape: _Shape, goal: Literal,
+    def _bind_passive(self, shape: InferencePattern, goal: Literal,
                       parent: Optional[Literal], taken: set[FactId]) -> FactId:
         # a slot the rule constrains (given this step's intended values) may
         # only take a fact of the forced value, or a fresh one
@@ -283,7 +242,7 @@ class _Builder:
         """Create the step concluding ``goal``; returns (node, steps spent)."""
         rng = self.rng
         shape = self.pick_shape(goal.value)
-        slots: list[Optional[FactId]] = [None] * shape.arity()
+        slots: list[Optional[FactId]] = [None] * TEMPLATES[shape.template][0]
         slots[shape.derived[0]] = goal.fact
         taken = {goal.fact}
 
@@ -310,12 +269,13 @@ class _Builder:
                 slots[slot] = lit.fact
                 taken.add(lit.fact)
 
-        for slot in shape.passive_slots():
-            fact = self._bind_passive(shape, goal, parent, taken)
-            slots[slot] = fact
-            taken.add(fact)
+        for slot, bound in enumerate(slots):
+            if bound is None:
+                fact = self._bind_passive(shape, goal, parent, taken)
+                slots[slot] = fact
+                taken.add(fact)
 
-        rule = _build_rule(shape.template, slots)  # type: ignore[arg-type]
+        rule = Rule(shape.template, tuple(slots))  # type: ignore[arg-type]
         if not self.add_rule(rule):
             raise _Retry()
         return _Node(rule, goal, children), budget - remaining
@@ -396,27 +356,27 @@ def _make_side(builder: _Builder, flavor: str, trues: list[FactId],
         else:
             x, v = rng.choice(falses), False
         y = builder.fresh_fact(not v)
-        rule, concl = _build_rule(RuleTemplate.XOR_BARE, [x, y]), Literal(y, not v)
+        rule, concl = Rule(RuleTemplate.XOR_BARE, (x, y)), Literal(y, not v)
     elif flavor == "impl_fwd":
         x = rng.choice(trues)
         y = builder.fresh_fact(True)
-        rule, concl = _build_rule(RuleTemplate.IMPL, [x, y]), Literal(y, True)
+        rule, concl = Rule(RuleTemplate.IMPL, (x, y)), Literal(y, True)
     elif flavor == "impl_bwd":
         x = rng.choice(falses)
         y = builder.fresh_fact(False)
-        rule, concl = _build_rule(RuleTemplate.IMPL, [y, x]), Literal(y, False)
+        rule, concl = Rule(RuleTemplate.IMPL, (y, x)), Literal(y, False)
     elif flavor == "or_cons_fwd":
         x, b = rng.choice(trues), rng.choice(retired_f)
         if x == b:
             return None
         y = builder.fresh_fact(True)
-        rule, concl = _build_rule(RuleTemplate.OR_CONS, [x, b, y]), Literal(y, True)
+        rule, concl = Rule(RuleTemplate.OR_CONS, (x, b, y)), Literal(y, True)
     elif flavor == "and_ante_bwd":
         a, c = rng.choice(retired_t), rng.choice(falses)
         if a == c:
             return None
         y = builder.fresh_fact(False)
-        rule, concl = _build_rule(RuleTemplate.AND_ANTE, [a, y, c]), Literal(y, False)
+        rule, concl = Rule(RuleTemplate.AND_ANTE, (a, y, c)), Literal(y, False)
     elif flavor == "and_cons_fwd":
         pool = [f for f in trues]
         x = rng.choice(pool)
@@ -425,7 +385,7 @@ def _make_side(builder: _Builder, flavor: str, trues: list[FactId],
             return None
         z = rng.choice(others)
         y = builder.fresh_fact(True)
-        rule, concl = _build_rule(RuleTemplate.AND_CONS, [x, y, z]), Literal(y, True)
+        rule, concl = Rule(RuleTemplate.AND_CONS, (x, y, z)), Literal(y, True)
     elif flavor == "or_ante_fwd":
         x = rng.choice(trues)
         pool = [f for f, _ in known if f != x]
@@ -433,7 +393,7 @@ def _make_side(builder: _Builder, flavor: str, trues: list[FactId],
             return None
         b = rng.choice(pool)
         y = builder.fresh_fact(True)
-        rule, concl = _build_rule(RuleTemplate.OR_ANTE, [x, b, y]), Literal(y, True)
+        rule, concl = Rule(RuleTemplate.OR_ANTE, (x, b, y)), Literal(y, True)
     elif flavor == "and_cons_bwd":
         b = rng.choice(falses)
         pool = [f for f, _ in known if f != b]
@@ -441,7 +401,7 @@ def _make_side(builder: _Builder, flavor: str, trues: list[FactId],
             return None
         x = rng.choice(pool)
         y = builder.fresh_fact(False)
-        rule, concl = _build_rule(RuleTemplate.AND_CONS, [y, b, x]), Literal(y, False)
+        rule, concl = Rule(RuleTemplate.AND_CONS, (y, b, x)), Literal(y, False)
     elif flavor == "xor_ante_bwd":
         c = rng.choice(falses)
         pool = [(f, v) for f, v in known if f != c]
@@ -452,13 +412,13 @@ def _make_side(builder: _Builder, flavor: str, trues: list[FactId],
             return None
         b, w = rng.choice(pool)
         y = builder.fresh_fact(w)
-        rule, concl = _build_rule(RuleTemplate.XOR_ANTE, [y, b, c]), Literal(y, w)
+        rule, concl = Rule(RuleTemplate.XOR_ANTE, (y, b, c)), Literal(y, w)
     else:  # xor_ante_fwd
         x, b = rng.choice(trues), rng.choice(falses)
         y = builder.fresh_fact(True)
-        rule, concl = _build_rule(RuleTemplate.XOR_ANTE, [x, b, y]), Literal(y, True)
+        rule, concl = Rule(RuleTemplate.XOR_ANTE, (x, b, y)), Literal(y, True)
 
-    if len(set(rule.facts())) != len(rule.facts()) or not builder.add_rule(rule):
+    if not builder.add_rule(rule):
         return None
     return rule, concl
 
@@ -474,10 +434,10 @@ def _plant_spare_impls(builder: _Builder, state: State, count: int) -> None:
         if i % 2 == 0 and trues and builder.budget_left() > 0:
             x = rng.choice(trues)
             y = builder.fresh_fact(None)
-            builder.add_rule(_build_rule(RuleTemplate.IMPL, [y, x]))
+            builder.add_rule(Rule(RuleTemplate.IMPL, (y, x)))
         elif falses and trues:
             a, b = rng.choice(falses), rng.choice(trues)
-            builder.add_rule(_build_rule(RuleTemplate.IMPL, [a, b]))
+            builder.add_rule(Rule(RuleTemplate.IMPL, (a, b)))
 
 
 def min_derivation_cost(rules: Iterable[Rule], base: Iterable[Literal],
@@ -552,9 +512,13 @@ def _try_build(cfg: SynthesisConfig, rng: random.Random) -> Optional[CorrectChai
         falses = [f for f in sorted(state.facts()) if state.value_of(f) is TruthValue.FALSE]
         for _ in range(cfg.distractor_rules):
             if falses and trues:
-                builder.add_rule(_build_rule(
-                    RuleTemplate.IMPL, [rng.choice(falses), rng.choice(trues)]))
+                builder.add_rule(Rule(
+                    RuleTemplate.IMPL, (rng.choice(falses), rng.choice(trues))))
 
+    # no RNG draw follows, so rejecting here spares the prover work below
+    # without changing what later attempts draw
+    if sequence[-1][1] != goal:
+        return None
     steps = tuple(Step(i + 1, supports, rule, concl)
                   for i, (rule, concl, supports) in enumerate(sequence))
     chain = CorrectChain(base_facts=tuple(builder.leaves), rules=tuple(builder.rules),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import pickle
 
@@ -11,6 +12,7 @@ from counterchain import (
     ErrorType,
     MalformedRecordError,
     SchemaMismatchError,
+    SynthesisConfig,
     deserialize_instance,
     generate_corpus,
     label_steps,
@@ -164,6 +166,22 @@ def test_generate_corpus_deterministic(tmp_path):
     generate_corpus(cfg, str(a))
     generate_corpus(cfg, str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("cfg, digest", [
+    (CorpusConfig(total_count=60, seed=7),
+     "ca602e436d327aa3286499b021a2feb367f793bb8d5cb474624a76ec1672ddf1"),
+    (CorpusConfig(total_count=20, seed=7,
+                  synthesis=SynthesisConfig(step_count=(10, 12), max_facts=20)),
+     "646b77a7acbf54e97b5022e7e7a88f076d2ef53746d6223816bf7fda861af330"),
+], ids=["default", "wide"])
+def test_generate_corpus_bytes_pinned(tmp_path, cfg, digest):
+    """A corpus is a pure function of (config, seed), so a refactor must keep
+    these bytes. A change that alters the corpus on purpose updates the
+    digests here and records the change in CHANGES.md."""
+    out = tmp_path / "pinned.jsonl"
+    generate_corpus(cfg, str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_stats_share_identity(tmp_path):

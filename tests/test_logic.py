@@ -13,6 +13,7 @@ from counterchain import (
     FactId,
     Literal,
     Or,
+    Rule,
     RuleShapeError,
     RuleTemplate,
     State,
@@ -26,7 +27,7 @@ from counterchain import (
     render_expr,
     render_rule,
 )
-from counterchain.logic import Implication, StateConflictError, make_rule
+from counterchain.logic import TEMPLATES, Implication, StateConflictError, make_rule
 
 F = FactId
 
@@ -136,6 +137,26 @@ def test_rule_round_trip_1000_random():
     for _ in range(1000):
         rule = _random_rule(rng)
         assert parse_rule(render_rule(rule)) == rule
+
+
+@pytest.mark.parametrize("template", list(RuleTemplate), ids=lambda t: t.value)
+def test_template_table_round_trip(template):
+    # slot order differs from index order, so a swapped slot would show
+    rule = Rule(template, (F(5), F(2), F(9))[:TEMPLATES[template][0]])
+    assert make_rule(rule.shape) == rule
+    assert hash(make_rule(rule.shape)) == hash(rule)
+    assert parse_rule(render_rule(rule)) == rule
+    assert rule.facts() == rule.slots
+
+
+@pytest.mark.parametrize("template", list(RuleTemplate), ids=lambda t: t.value)
+def test_rule_rejects_wrong_slot_count_and_repeated_slot(template):
+    arity = TEMPLATES[template][0]
+    for count in (arity - 1, arity + 1):
+        with pytest.raises(RuleShapeError):
+            Rule(template, tuple(F(i) for i in range(count)))
+    with pytest.raises(RuleShapeError):
+        Rule(template, tuple(F(i) for i in range(arity - 1)) + (F(0),))
 
 
 def test_literal_round_trip():

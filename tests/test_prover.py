@@ -8,6 +8,8 @@ import pytest
 from counterchain import (
     FactId,
     Literal,
+    Rule,
+    RuleTemplate,
     State,
     Status,
     Theory,
@@ -18,9 +20,11 @@ from counterchain import (
     propagate,
     theory_for,
 )
+from counterchain.logic import TEMPLATES
 from counterchain.prover import (
     UNIVERSE_CAP,
     Direction,
+    ModelTable,
     PropagationContradiction,
     UniverseTooLargeError,
     _column,
@@ -28,7 +32,7 @@ from counterchain.prover import (
     verify_catalog,
 )
 
-from .oracles import oracle_count_models, oracle_entails, random_theory
+from .oracles import oracle_count_models, oracle_entails, random_theory, rule_satisfied
 
 F = FactId
 
@@ -227,9 +231,17 @@ def test_entails_agrees_with_oracle_random_queries():
         assert got == oracle_entails(theory, fixed, query)
 
 
-def test_countermodel_witness_properties():
-    from .oracles import rule_satisfied
+@pytest.mark.parametrize("template", list(RuleTemplate), ids=lambda t: t.value)
+def test_one_rule_table_matches_oracle(template):
+    arity = TEMPLATES[template][0]
+    rule = Rule(template, (F(5), F(2), F(9))[:arity])
+    table = ModelTable(theory_for([rule]))
+    for a in range(1 << arity):
+        assignment = {f: bool(a >> i & 1) for f, i in table.slots.items()}
+        assert bool(table.rows >> a & 1) == rule_satisfied(rule, assignment)
 
+
+def test_countermodel_witness_properties():
     rng = random.Random(23)
     seen = 0
     for _ in range(300):
