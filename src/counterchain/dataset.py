@@ -121,12 +121,21 @@ def _step_to_obj(step: Step) -> dict:
     }
 
 
-def _step_from_obj(obj: dict, index: int) -> Step:
+def _parsed(parse, value, field: str):
+    """``parse(value)`` for a string ``value``. The type is checked before the
+    parse memo, so any other type, hashable or not, fails the same way."""
+    if not isinstance(value, str):
+        raise TypeError(f"{field} must be a string, not {type(value).__name__}")
+    return parse(value)
+
+
+def _step_from_obj(obj: dict, index: int, chain: str) -> Step:
     return Step(
         index=index,
-        supports=tuple(parse_literal(t) for t in obj["supports"]),
-        rule=parse_rule(obj["rule"]),
-        conclusion=parse_literal(obj["conclusion"]),
+        supports=tuple(_parsed(parse_literal, t, f"{chain} supports entry")
+                       for t in obj["supports"]),
+        rule=_parsed(parse_rule, obj["rule"], f"{chain} rule"),
+        conclusion=_parsed(parse_literal, obj["conclusion"], f"{chain} conclusion"),
     )
 
 
@@ -197,12 +206,12 @@ def deserialize_instance(line: str, line_number: Optional[int] = None) -> Instan
         raise SchemaMismatchError(
             f"schema_version {version!r} unsupported (expected {SCHEMA_VERSION})")
     try:
-        goal = parse_literal(obj["goal"])
-        base = tuple(parse_literal(t) for t in obj["base_facts"])
-        rules = tuple(parse_rule(t) for t in obj["rules"])
-        correct_steps = tuple(_step_from_obj(s, i + 1)
+        goal = _parsed(parse_literal, obj["goal"], "goal")
+        base = tuple(_parsed(parse_literal, t, "base_facts entry") for t in obj["base_facts"])
+        rules = tuple(_parsed(parse_rule, t, "rules entry") for t in obj["rules"])
+        correct_steps = tuple(_step_from_obj(s, i + 1, "correct_steps")
                               for i, s in enumerate(obj["correct_steps"]))
-        erroneous_steps = tuple(_step_from_obj(s, i + 1)
+        erroneous_steps = tuple(_step_from_obj(s, i + 1, "erroneous_steps")
                                 for i, s in enumerate(obj["erroneous_steps"]))
         if not erroneous_steps:
             raise MalformedRecordError("erroneous_steps is empty", line_number)

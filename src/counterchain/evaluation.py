@@ -17,7 +17,7 @@ from typing import Callable, Optional, Protocol, Sequence
 from .dataset import label_steps
 from .injection import Instance
 from .logic import Literal, Rule, State
-from .prover import Theory
+from .prover import Theory, model_table
 from .realize import PromptBundle
 from .synthesis import Step, check_step_local
 
@@ -52,18 +52,21 @@ class OracleJudge:
     def score_trajectory(self, context: JudgeContext,
                          steps: Sequence[Step]) -> list[float]:
         scores: list[float] = []
+        table = model_table(context.theory)
         state = State({l.fact: l.value for l in context.base_facts})
+        rows = table.restrict_state(state)
         established = set(context.base_facts)
         poisoned = False
         for step in steps:
             if poisoned:
                 scores.append(0.0)
                 continue
-            check = check_step_local(context.theory, state, established, step)
+            check = check_step_local(table, rows, state, established, step)
             if check.ok:
                 scores.append(1.0)
                 state = state.with_literal(step.conclusion)
                 established.add(step.conclusion)
+                rows = table.restrict(rows, step.conclusion)
             else:
                 scores.append(0.0)
                 poisoned = True

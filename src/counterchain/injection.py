@@ -25,8 +25,8 @@ from .logic import FactId, Literal, Rule, RuleTemplate, TruthValue
 from .prover import (
     Direction,
     Status,
-    entails,
     match_pattern,
+    model_table,
     patterns_concluding_fact,
 )
 from .synthesis import (
@@ -429,23 +429,26 @@ def verify_first_error(inst: Instance) -> InstanceReport:
         if not err.steps[t].content_equals(chain.steps[t]):
             failures.append(f"prefix differs from the correct chain at step {t + 1}")
 
+    table = model_table(theory)
     state = chain.base_state()
+    rows = table.restrict_state(state)
     established = set(chain.base_facts)
     prefix_ok = True
     for t in range(k - 1):
         step = err.steps[t]
-        check = check_step_local(theory, state, established, step)
+        check = check_step_local(table, rows, state, established, step)
         if not check.ok:
             failures.append(f"prefix step {t + 1} is not valid")
             prefix_ok = False
             break
         state = state.with_literal(step.conclusion)
         established.add(step.conclusion)
+        rows = table.restrict(rows, step.conclusion)
 
     corrupted = err.steps[k - 1]
     if prefix_ok:
         if err.error_type.group is ErrorGroup.TRUTH_STATE:
-            verdict = entails(theory, state, corrupted.conclusion)
+            verdict = table.decide(rows, corrupted.conclusion)
             if verdict.status is Status.ENTAILED:
                 failures.append("still-derivable")
             elif verdict.status is Status.INCONSISTENT:

@@ -16,6 +16,8 @@ Every synthesized chain passes ``verify_chain`` before being returned.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -24,9 +26,9 @@ from .logic import TEMPLATES, FactId, Literal, Rule, RuleTemplate, State, TruthV
 from .prover import (
     _CATALOG,
     InferencePattern,
+    ModelTable,
     Status,
     Theory,
-    count_models,
     entails,
     licensed_patterns,
     match_pattern,
@@ -127,6 +129,18 @@ class SynthesisConfig:
         if not self.template_weights:
             raise ValueError("template_weights must be non-empty")
 
+    @functools.cached_property
+    def shape_pools(self) -> dict[bool, tuple[tuple[InferencePattern, ...], list[float]]]:
+        """Per concluded value: the goal-expansion shapes whose template has
+        positive weight, in catalog order, and their cumulative weights."""
+        weights = dict(self.template_weights)
+        pools = {}
+        for value, shapes in ((True, _SHAPES_TRUE), (False, _SHAPES_FALSE)):
+            pool = tuple(s for s in shapes if weights.get(s.template, 0.0) > 0.0)
+            pools[value] = (pool, list(itertools.accumulate(weights[s.template]
+                                                            for s in pool)))
+        return pools
+
 
 def _pick(*choices: tuple[RuleTemplate, int]) -> tuple[InferencePattern, ...]:
     return tuple(_CATALOG[template][i] for template, i in choices)
@@ -209,12 +223,10 @@ class _Builder:
         return lit
 
     def pick_shape(self, value: bool) -> InferencePattern:
-        shapes = _SHAPES_TRUE if value else _SHAPES_FALSE
-        weights = dict(self.cfg.template_weights)
-        pool = [s for s in shapes if weights.get(s.template, 0.0) > 0.0]
+        pool, cum_weights = self.cfg.shape_pools[value]
         if not pool:
             raise ValueError("no template with positive weight fits the subgoal")
-        return self.rng.choices(pool, weights=[weights[s.template] for s in pool], k=1)[0]
+        return self.rng.choices(pool, cum_weights=cum_weights, k=1)[0]
 
     def _bind_passive(self, shape: InferencePattern, goal: Literal,
                       parent: Optional[Literal], taken: set[FactId]) -> FactId:
@@ -569,9 +581,14 @@ class ChainReport:
     step_checks: tuple[StepCheck, ...]
 
 
-def check_step_local(theory: Theory, state: State, established: set[Literal],
-                     step: Step, *, semantic: bool = True) -> StepCheck:
+def check_step_local(table: ModelTable, rows: int, state: State,
+                     established: set[Literal], step: Step) -> StepCheck:
     """Validity of one step against an explicit prefix.
+
+    ``table`` is the theory's model table and ``rows`` its rows restricted
+    to ``state``. A prefix walk looks the table up once and narrows ``rows``
+    with ``table.restrict`` for each conclusion it adds to ``state``, which
+    equals ``table.restrict_state(state)`` because restriction is an AND.
 
     procedural: every support is a base fact or an earlier conclusion;
     pattern:    (supports, conclusion) instantiates a licensed direction and
@@ -586,18 +603,9 @@ def check_step_local(theory: Theory, state: State, established: set[Literal],
                and step.conclusion.fact not in step.support_facts())
     pattern = in_rule and match_pattern(step.rule, step.supports, step.conclusion) is not None
     fresh = state.value_of(step.conclusion.fact) is TruthValue.UNKNOWN
-
-    sem = True
-    if semantic:
-        table = model_table(theory)
-        rows = table.restrict_state(state)
-        for lit in (*step.supports, step.conclusion):
-            if state.holds(lit):
-                continue
-            if table.decide(rows, lit).status is not Status.ENTAILED:
-                sem = False
-                break
-    return StepCheck(step.index, sem, procedural, pattern, fresh)
+    semantic = all(state.holds(lit) or table.decide(rows, lit).status is Status.ENTAILED
+                   for lit in (*step.supports, step.conclusion))
+    return StepCheck(step.index, semantic, procedural, pattern, fresh)
 
 
 def verify_chain(chain: CorrectChain) -> ChainReport:
@@ -607,21 +615,22 @@ def verify_chain(chain: CorrectChain) -> ChainReport:
     except Exception as exc:  # noqa: BLE001 - report, don't raise
         return ChainReport(False, (f"theory: {exc}",), ())
 
-    base_state = chain.base_state()
-    if len(base_state) != len(chain.base_facts):
+    table = model_table(theory)
+    state = chain.base_state()
+    rows = table.restrict_state(state)
+    if len(state) != len(chain.base_facts):
         failures.append("base facts assign some fact twice")
-    if count_models(theory, base_state) == 0:
+    if not rows:
         failures.append("base facts are inconsistent with the rules")
         return ChainReport(False, tuple(failures), ())
 
     rule_set = set(chain.rules)
-    state = base_state
     established: set[Literal] = set(chain.base_facts)
     checks: list[StepCheck] = []
     for step in chain.steps:
         if step.rule not in rule_set:
             failures.append(f"step {step.index}: rule not in the chain's rule list")
-        check = check_step_local(theory, state, established, step)
+        check = check_step_local(table, rows, state, established, step)
         checks.append(check)
         if not check.procedural:
             failures.append(f"step {step.index}: support not established")
@@ -634,6 +643,7 @@ def verify_chain(chain: CorrectChain) -> ChainReport:
         if check.fresh_conclusion:
             state = state.with_literal(step.conclusion)
             established.add(step.conclusion)
+            rows = table.restrict(rows, step.conclusion)
 
     try:
         topological_order(chain.steps)
@@ -642,7 +652,7 @@ def verify_chain(chain: CorrectChain) -> ChainReport:
 
     if not chain.steps or chain.steps[-1].conclusion != chain.goal:
         failures.append("final step does not conclude the goal")
-    if count_models(theory, state) == 0:
+    if not rows:
         failures.append("established facts are inconsistent with the rules")
 
     return ChainReport(not failures, tuple(failures), tuple(checks))

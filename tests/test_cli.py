@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from counterchain import CorpusConfig, generate_corpus
 from counterchain.cli import main, parse_kv_file
+from counterchain.logic import PARSE_CACHE_SIZE
 
 
 def _run(capsys, *argv) -> tuple[int, str, str]:
@@ -346,3 +349,74 @@ def test_cli_imports_without_numpy():
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+
+
+def _rewrite(path, header, records) -> None:
+    path.write_text("".join(json.dumps(o, separators=(",", ":")) + "\n"
+                            for o in (header, *records)))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("goal", 5), ("base_facts", [None]), ("rules", [["x"]]),
+], ids=["goal", "base_facts", "rules"])
+@pytest.mark.parametrize("command", ["verify", "stats"])
+def test_non_string_text_field_is_usage_error(tmp_path, capsys, command, field, value):
+    out = tmp_path / "c.jsonl"
+    _run(capsys, "synth", "--count", "3", "--seed", "2", "--out", str(out))
+    header, *records = [json.loads(l) for l in out.read_text().splitlines()]
+    records[1][field] = value
+    _rewrite(out, header, records)
+    code, _, stderr = _run(capsys, command, str(out))
+    assert code == 2
+    assert "cannot read corpus" in stderr
+    assert "must be a string" in stderr
+    assert "(line 3)" in stderr
+
+
+def test_corpus_with_more_rule_texts_than_the_parse_memo_holds(tmp_path, capsys):
+    # padding a rule text with blanks leaves the rule as it is, so copies of
+    # a few records can carry more distinct rule texts than the memo holds
+    out = tmp_path / "c.jsonl"
+    _run(capsys, "synth", "--count", "20", "--seed", "4", "--out", str(out))
+    header, *originals = [json.loads(l) for l in out.read_text().splitlines()]
+    distinct = 0
+
+    def pad(text: str) -> str:
+        nonlocal distinct
+        distinct += 1
+        return " " * (distinct % 64) + text + " " * (distinct // 64)
+
+    records = []
+    while distinct <= PARSE_CACHE_SIZE:
+        for original in originals:
+            record = json.loads(json.dumps(original))
+            record["rules"] = [pad(t) for t in record["rules"]]
+            for step in record["correct_steps"] + record["erroneous_steps"]:
+                step["rule"] = pad(step["rule"])
+            records.append(record)
+    header["total_count"] = len(records)
+    _rewrite(out, header, records)
+    code, stdout, _ = _run(capsys, "verify", str(out))
+    assert code == 0
+    assert f"verified {len(records)} instances, 0 failures" in stdout
+
+
+def test_read_side_output_bytes_pinned(tmp_path, capsys, monkeypatch):
+    """``realize`` and ``eval --report`` write pure functions of the corpus
+    (the 60-record one that test_generate_corpus_bytes_pinned[default] pins),
+    so a change to the read side must keep these bytes. The corpus is named
+    by a relative path because ``realize`` records it in its header."""
+    monkeypatch.chdir(tmp_path)
+    generate_corpus(CorpusConfig(total_count=60, seed=7), "c.jsonl")
+    assert _run(capsys, "realize", "c.jsonl", "--out", "realized.jsonl",
+                "--nl-mode", "clean")[0] == 0
+    assert _run(capsys, "eval", "--corpus", "c.jsonl", "--include-correct",
+                "--report", "report.json")[0] == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("realized.jsonl", "report.json")}
+    assert digests == {
+        "realized.jsonl":
+            "04c8182198290c7fd09906614d3d64c0ff8b930015c11d3828a6e49fcdd6d644",
+        "report.json":
+            "98e4dc82fb49e87ca1edb6365bda13787c3c577f82858287ef8e15e235a1aac2",
+    }

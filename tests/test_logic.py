@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from counterchain import (
     And,
     Atom,
+    CorpusConfig,
     ExprSyntaxError,
     FactId,
     Literal,
@@ -21,13 +23,20 @@ from counterchain import (
     Xor,
     XorConstraint,
     eval_expr,
+    generate_corpus,
     parse_expr,
     parse_literal,
     parse_rule,
     render_expr,
     render_rule,
 )
-from counterchain.logic import TEMPLATES, Implication, StateConflictError, make_rule
+from counterchain.logic import (
+    PARSE_CACHE_SIZE,
+    TEMPLATES,
+    Implication,
+    StateConflictError,
+    make_rule,
+)
 
 F = FactId
 
@@ -247,3 +256,49 @@ def test_kleene_monotone_refinement(expr, assignment, extra_fact, extra_value):
     after = eval_expr(expr, State(refined_map))
     if before is not TruthValue.UNKNOWN:
         assert after is before
+
+
+def _corpus_texts(tmp_path) -> tuple[set[str], set[str]]:
+    """Every rule text and every literal text of a generated corpus."""
+    path = tmp_path / "c.jsonl"
+    generate_corpus(CorpusConfig(total_count=20, seed=3), str(path))
+    rules, literals = set(), set()
+    for line in path.read_text().splitlines()[1:]:
+        record = json.loads(line)
+        rules.update(record["rules"])
+        literals.add(record["goal"])
+        literals.update(record["base_facts"])
+        for step in record["correct_steps"] + record["erroneous_steps"]:
+            rules.add(step["rule"])
+            literals.add(step["conclusion"])
+            literals.update(step["supports"])
+    return rules, literals
+
+
+def test_parse_memo_agrees_with_uncached_parse(tmp_path):
+    rules, literals = _corpus_texts(tmp_path)
+    assert len(rules) > 50 and len(literals) > 10
+    for text in rules:
+        assert parse_rule(text) == parse_rule.__wrapped__(text)
+        assert parse_rule(text) == parse_rule.__wrapped__(text)  # now a hit
+    for text in literals:
+        assert parse_literal(text) == parse_literal.__wrapped__(text)
+        assert parse_literal(text) == parse_literal.__wrapped__(text)
+
+
+@pytest.mark.parametrize("parse, text, error", [
+    (parse_rule, "[F1] ->", ExprSyntaxError),
+    (parse_rule, "[F1] -> [F1]", RuleShapeError),
+    (parse_rule, "[F1] or [F2]", RuleShapeError),
+    (parse_literal, "[F1]=Maybe", ValueError),
+])
+def test_parse_memo_does_not_cache_errors(parse, text, error):
+    for _ in range(2):
+        with pytest.raises(error):
+            parse(text)
+
+
+def test_parse_memo_is_bounded():
+    for parse in (parse_rule, parse_literal):
+        assert parse.cache_info().maxsize == PARSE_CACHE_SIZE
+    assert 0 < PARSE_CACHE_SIZE < 1 << 16

@@ -1,0 +1,127 @@
+"""Prefix replay: the three prefix walks (``verify_chain``, the prefix loop of
+``verify_first_error`` and ``OracleJudge.score_trajectory``) look the model
+table up once and narrow its rows step by step. The carried rows must equal
+the rows restricted from scratch at every position, and the verdicts the walks
+return must not depend on how the rows were obtained."""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from dataclasses import replace
+
+import pytest
+
+from counterchain import (
+    CorpusConfig,
+    JudgeContext,
+    OracleJudge,
+    SynthesisConfig,
+    verify_chain,
+    verify_first_error,
+)
+from counterchain import evaluation, injection, synthesis
+from counterchain.dataset import deserialize_instance, generate_instances
+from counterchain.prover import model_table
+
+from . import fixtures
+
+WIDE = SynthesisConfig(step_count=(10, 12), max_facts=20)
+
+
+def _generated(count: int, seed: int, cfg: SynthesisConfig = SynthesisConfig()):
+    corpus = CorpusConfig(total_count=count, seed=seed, synthesis=cfg)
+    return [deserialize_instance(line)
+            for line, *_ in generate_instances(corpus)]
+
+
+def _instances():
+    out = [fixtures.bakery_instance(), fixtures.navigator_instance()]
+    for seed in (1, 2, 3):
+        out += _generated(6, seed)
+    for seed in (4, 5):
+        out += _generated(3, seed, WIDE)
+    return out
+
+
+def _tampered(inst):
+    """The instance itself, then one variant per tampering of its chains."""
+    yield "as-is", inst
+    correct, err = inst.correct, inst.erroneous
+    for j, step in enumerate(correct.steps):
+        flipped = replace(step, conclusion=step.conclusion.negated())
+        steps = correct.steps[:j] + (flipped,) + correct.steps[j + 1:]
+        yield f"flip-correct-{j + 1}", replace(inst, correct=replace(correct, steps=steps))
+    if len(correct.steps) > 1:
+        swapped = (correct.steps[1], correct.steps[0]) + correct.steps[2:]
+        yield "swap-correct-1-2", replace(inst, correct=replace(correct, steps=swapped))
+    dropped = correct.base_facts[1:]
+    yield "drop-base-fact", replace(inst, base_facts=dropped,
+                                    correct=replace(correct, base_facts=dropped))
+    for shift in (-1, 1):
+        moved = replace(err, first_error_index=err.first_error_index + shift)
+        yield f"k{shift:+d}", replace(inst, erroneous=moved)
+    k = err.first_error_index
+    if k <= len(correct.steps):
+        healed = replace(err.steps[k - 1], conclusion=correct.steps[k - 1].conclusion)
+        steps = err.steps[:k - 1] + (healed,) + err.steps[k:]
+        yield "heal-corrupted-step", replace(inst, erroneous=replace(err, steps=steps))
+
+
+def _walk_all(inst) -> dict:
+    """What each prefix walk returns for ``inst``."""
+    context = JudgeContext.for_instance(inst)
+    judge = OracleJudge()
+    return {
+        "chain": list(verify_chain(inst.correct).failures),
+        "first_error": list(verify_first_error(inst).failures),
+        "scores_erroneous": judge.score_trajectory(context, inst.erroneous.steps),
+        "scores_correct": judge.score_trajectory(context, inst.correct.steps),
+    }
+
+
+@pytest.fixture(scope="module")
+def cases():
+    return [(f"{inst.id}/{name}", variant)
+            for inst in _instances() for name, variant in _tampered(inst)]
+
+
+def test_carried_rows_equal_rows_restricted_from_scratch(cases, monkeypatch):
+    mismatches, calls = [], {}
+    real = synthesis.check_step_local
+
+    def spy_for(walk):
+        def spy(table, rows, state, established, step):
+            calls[walk] = calls.get(walk, 0) + 1
+            # the reference: the full table restricted by the whole prefix state
+            if rows != model_table(table.theory).restrict_state(state):
+                mismatches.append((walk, step.index))
+            return real(table, rows, state, established, step)
+        return spy
+
+    for module in (synthesis, injection, evaluation):
+        monkeypatch.setattr(module, "check_step_local", spy_for(module.__name__))
+    for _, inst in cases:
+        _walk_all(inst)
+    assert sorted(calls) == ["counterchain.evaluation", "counterchain.injection",
+                             "counterchain.synthesis"]
+    assert min(calls.values()) > len(cases)
+    assert mismatches == []
+
+
+# sha256 of the canonical JSON of ``_walk_all`` over every case, in order; it
+# was recorded with the rows restricted from scratch at every prefix step, so
+# it pins the verdicts across changes to how the walks obtain their rows
+VERDICTS_SHA256 = "18fd7fa52c93d005e709b47ec18bb7503c0b32146a84c0d837e498c81c02314f"
+
+
+def test_walk_verdicts_pinned(cases):
+    verdicts = {name: _walk_all(inst) for name, inst in cases}
+    # the tamperings do reach every walk's failure paths
+    assert any(v["chain"] for v in verdicts.values())
+    assert any(not v["first_error"] for v in verdicts.values())
+    assert any(v["first_error"] for v in verdicts.values())
+    assert any(0.0 in v["scores_correct"] for v in verdicts.values())
+    payload = json.dumps(verdicts, sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == VERDICTS_SHA256
+

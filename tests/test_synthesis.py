@@ -12,6 +12,7 @@ from counterchain import (
     topological_order,
     verify_chain,
 )
+from counterchain.prover import model_table
 from counterchain.synthesis import CorrectChain, check_step_local, min_derivation_cost
 
 from . import fixtures
@@ -110,7 +111,9 @@ def test_converse_citation_invalidates_chain():
 
 
 def _semantic(theory, prefix_state, step) -> bool:
-    return check_step_local(theory, prefix_state, set(), step).semantic
+    table = model_table(theory)
+    rows = table.restrict_state(prefix_state)
+    return check_step_local(table, rows, prefix_state, set(), step).semantic
 
 
 def test_check_step_semantic_golden_final_step():
