@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from .logic import FactId, Literal, Rule, RuleTemplate, TruthValue
 from .prover import (
     Direction,
+    InferencePattern,
     Status,
     match_pattern,
     model_table,
@@ -112,20 +113,12 @@ class Instance:
 
 
 # ---------------------------------------------------------------------------
-# chain features consulted by applicability and injection
-
-
-def _matched_pattern(step: Step):
-    return match_pattern(step.rule, step.supports, step.conclusion)
-
-
-def _cited_rules(chain: CorrectChain) -> set[Rule]:
-    return {s.rule for s in chain.steps}
+# the site index: what applicability and injection consult, once per chain
 
 
 def spare_implications(chain: CorrectChain) -> tuple[Rule, ...]:
     """IMPL rules present in the theory but cited by no step."""
-    cited = _cited_rules(chain)
+    cited = {s.rule for s in chain.steps}
     return tuple(r for r in chain.rules
                  if r.template is RuleTemplate.IMPL and r not in cited)
 
@@ -138,60 +131,80 @@ def _established_literals(chain: CorrectChain, upto: int) -> set[Literal]:
     return out
 
 
-def _vacuous_hooks(chain: CorrectChain, k: int) -> list[Rule]:
-    """Unused implications with a false antecedent and a true consequent,
-    both established before k."""
-    established = _established_literals(chain, k)
-    out = []
-    for rule in spare_implications(chain):
-        a, b = rule.facts()
-        if Literal(a, False) in established and Literal(b, True) in established:
-            out.append(rule)
-    return out
+@dataclass(frozen=True)
+class Site:
+    """Step k of a chain as a corruption site. The hooks are the spare
+    implications A -> B with A established false and B true before k
+    (vacuous), or B established true and A unassigned (converse); the cycle
+    sites are the later steps (j, conclusion) that consume step k's
+    conclusion while concluding a fact in an unassigned slot of its rule.
+    Hooks keep ``chain.rules`` order and cycle sites ascending j, because
+    ``inject`` draws from them by position."""
+
+    pattern: Optional[InferencePattern]
+    types: frozenset[ErrorType]
+    vacuous_hooks: tuple[Rule, ...]
+    converse_hooks: tuple[Rule, ...]
+    cycle_sites: tuple[tuple[int, Literal], ...]
 
 
-def _converse_hooks(chain: CorrectChain, k: int) -> list[Rule]:
-    """Unused implications whose consequent is established true before k and
-    whose antecedent is still unassigned there."""
-    established = _established_literals(chain, k)
-    assigned = {l.fact for l in established}
-    out = []
-    for rule in spare_implications(chain):
-        a, b = rule.facts()
-        if Literal(b, True) in established and a not in assigned:
-            out.append(rule)
-    return out
-
-
-def _cycle_sites(chain: CorrectChain, k: int) -> list[tuple[int, Literal]]:
-    """Later steps j that consume step k's conclusion while concluding a fact
-    the step-k rule mentions in an unassigned slot; rewiring k to cite that
-    conclusion makes k and j support each other."""
-    step = chain.steps[k - 1]
-    open_slots = (set(step.rule.facts()) - step.support_facts()
-                  - {step.conclusion.fact})
-    if not open_slots:
-        return []
-    sites = []
-    for j in range(k + 1, len(chain.steps) + 1):
-        later = chain.steps[j - 1]
-        if step.conclusion in later.supports and later.conclusion.fact in open_slots:
-            sites.append((j, later.conclusion))
+def site_index(chain: CorrectChain) -> tuple[Site, ...]:
+    """One ``Site`` per step, built on first use and kept in the frozen
+    chain's ``__dict__``: outside its fields, so no lookup hashes the chain."""
+    sites = chain.__dict__.get("_site_index")
+    if sites is None:
+        sites = chain.__dict__["_site_index"] = _index_sites(chain)
     return sites
 
 
-def applicable_errors(chain: CorrectChain, k: int) -> set[ErrorType]:
-    """Error types whose template requirements match step k."""
-    if not 1 <= k <= len(chain.steps):
-        raise IndexError(f"k={k} outside 1..{len(chain.steps)}")
-    step = chain.steps[k - 1]
-    pattern = _matched_pattern(step)
-    if pattern is None:
-        return set()
-    template = step.rule.template
+def _index_sites(chain: CorrectChain) -> tuple[Site, ...]:
+    steps = chain.steps
+    patterns = [match_pattern(s.rule, s.supports, s.conclusion) for s in steps]
+    # each spare implication A -> B with the literals its hook tests read
+    spare = [(r, Literal(r.slots[0], False), Literal(r.slots[1], True), r.slots[0])
+             for r in spare_implications(chain)]
+    established = set(chain.base_facts)
+    assigned = {l.fact for l in established}
+    sites = []
+    for k, (step, pattern) in enumerate(zip(steps, patterns), 1):
+        if k >= 2:
+            established.add(steps[k - 2].conclusion)
+            assigned.add(steps[k - 2].conclusion.fact)
+        vacuous = tuple(r for r, a_false, b_true, _ in spare
+                        if a_false in established and b_true in established)
+        converse = tuple(r for r, _, b_true, a in spare
+                         if b_true in established and a not in assigned)
+        open_slots = (set(step.rule.slots) - step.support_facts()
+                      - {step.conclusion.fact})
+        cycles = tuple((j, later.conclusion) for j, later in enumerate(steps[k:], k + 1)
+                       if later.conclusion.fact in open_slots
+                       and step.conclusion in later.supports)
+
+        types: set[ErrorType] = set()
+        if pattern is not None:
+            types = _template_errors(step.rule.template, pattern)
+            if vacuous:
+                types.add(ErrorType.VACUOUS_TRUTH_ERROR)
+            if converse:
+                types.add(ErrorType.CONVERSE_ERROR)
+            if k >= 2:
+                types.add(ErrorType.REDUNDANT_STEP)
+                # dropping the bridge must remove a premise of the consumer's
+                # applied pattern, not merely an extra listed support
+                consumer = patterns[k] if k < len(steps) else None
+                if consumer is not None and \
+                        step.conclusion in consumer.bind_premises(steps[k].rule):
+                    types.add(ErrorType.MISSING_PREREQUISITE)
+                if cycles:
+                    types.add(ErrorType.CIRCULAR_REFERENCE)
+        sites.append(Site(pattern, frozenset(types), vacuous, converse, cycles))
+    return tuple(sites)
+
+
+def _template_errors(template: RuleTemplate, pattern: InferencePattern) -> set[ErrorType]:
+    """Error types the step's template and applied direction admit."""
     forward = pattern.direction is Direction.FORWARD
     out: set[ErrorType] = set()
-
     if template is RuleTemplate.IMPL:
         out.add(ErrorType.IMPLICATION_MISUSE)
         out.add(ErrorType.CONVERSE_ERROR)
@@ -211,27 +224,18 @@ def applicable_errors(chain: CorrectChain, k: int) -> set[ErrorType]:
     if (template is RuleTemplate.OR_CONS and forward) or \
             (template is RuleTemplate.AND_ANTE and not forward):
         out.add(ErrorType.OR_AND_CONFUSION)
-    if _vacuous_hooks(chain, k):
-        out.add(ErrorType.VACUOUS_TRUTH_ERROR)
-    if _converse_hooks(chain, k):
-        out.add(ErrorType.CONVERSE_ERROR)
-    if k >= 2:
-        out.add(ErrorType.REDUNDANT_STEP)
-        if k < len(chain.steps) and _bridges_premise(chain.steps[k - 1], chain.steps[k]):
-            out.add(ErrorType.MISSING_PREREQUISITE)
-        if _cycle_sites(chain, k):
-            out.add(ErrorType.CIRCULAR_REFERENCE)
     return out
 
 
-def _bridges_premise(bridge: Step, consumer: Step) -> bool:
-    """The bridge conclusion must be a premise of the consumer's applied
-    pattern, not merely an extra listed support; otherwise dropping it leaves
-    a step that is still fully licensed."""
-    pattern = _matched_pattern(consumer)
-    if pattern is None:
-        return False
-    return bridge.conclusion in pattern.bind_premises(consumer.rule)
+def _site(chain: CorrectChain, k: int) -> Site:
+    if not 1 <= k <= len(chain.steps):
+        raise IndexError(f"k={k} outside 1..{len(chain.steps)}")
+    return site_index(chain)[k - 1]
+
+
+def applicable_errors(chain: CorrectChain, k: int) -> frozenset[ErrorType]:
+    """Error types whose template requirements match step k."""
+    return _site(chain, k).types
 
 
 # ---------------------------------------------------------------------------
@@ -244,25 +248,21 @@ def _reordered_supports(rule: Rule, values: dict[FactId, bool],
                  if f != conclusion_fact and f in values)
 
 
-def _flip_step(step: Step) -> Step:
-    return replace(step, conclusion=step.conclusion.negated())
-
-
 def inject(chain: CorrectChain, k: int, e: ErrorType, seed: int) -> ErroneousChain:
     """Corrupt step k of a verified chain with error type ``e`` and rebuild
     the continuation under the corrupted state."""
-    if e not in applicable_errors(chain, k):
+    site = _site(chain, k)
+    if e not in site.types:
         raise InjectionInfeasible(f"{e.value} does not apply at step {k}")
     rng = random.Random(seed)
     step = chain.steps[k - 1]
-    pattern = _matched_pattern(step)
     prefix = chain.steps[: k - 1]
     rest = chain.steps[k:]
 
     if e in (ErrorType.IMPLICATION_MISUSE, ErrorType.XOR_AS_EQUIV,
              ErrorType.XOR_AS_OR, ErrorType.DROP_CONDITION,
              ErrorType.PARTIAL_EVALUATION):
-        corrupted = _flip_step(step)
+        corrupted = replace(step, conclusion=step.conclusion.negated())
 
     elif e is ErrorType.OR_AND_CONFUSION:
         # read the connective as its dual: conclude the negation of the
@@ -278,20 +278,19 @@ def inject(chain: CorrectChain, k: int, e: ErrorType, seed: int) -> ErroneousCha
                          step.rule, wrong)
 
     elif e is ErrorType.VACUOUS_TRUTH_ERROR:
-        hook = rng.choice(_vacuous_hooks(chain, k))
+        hook = rng.choice(site.vacuous_hooks)
         a, b = hook.facts()
         corrupted = Step(k, (Literal(a, False),), hook, Literal(b, False))
 
     elif e is ErrorType.CONVERSE_ERROR:
-        hooks = _converse_hooks(chain, k)
-        if hooks:
-            hook = rng.choice(hooks)
+        if site.converse_hooks:
+            hook = rng.choice(site.converse_hooks)
             a, b = hook.facts()
             corrupted = Step(k, (Literal(b, True),), hook, Literal(a, True))
         else:
             # in-place converse of the step's own implication
             a, b = step.rule.facts()
-            if pattern.direction is Direction.FORWARD:
+            if site.pattern.direction is Direction.FORWARD:
                 corrupted = Step(k, (Literal(b, True),), step.rule, Literal(a, True))
             else:
                 corrupted = Step(k, (Literal(a, False),), step.rule, Literal(b, False))
@@ -302,14 +301,13 @@ def inject(chain: CorrectChain, k: int, e: ErrorType, seed: int) -> ErroneousCha
         rest = chain.steps[k - 1:]
 
     elif e is ErrorType.MISSING_PREREQUISITE:
-        bridge = step
         consumer = chain.steps[k]
-        kept = tuple(l for l in consumer.supports if l != bridge.conclusion)
+        kept = tuple(l for l in consumer.supports if l != step.conclusion)
         corrupted = Step(k, kept, consumer.rule, consumer.conclusion)
         rest = chain.steps[k + 1:]
 
     else:  # CIRCULAR_REFERENCE
-        j, future = rng.choice(_cycle_sites(chain, k))
+        j, future = rng.choice(site.cycle_sites)
         values = {l.fact: l.value for l in step.supports}
         values[future.fact] = future.value
         corrupted = Step(k, _reordered_supports(step.rule, values, step.conclusion.fact),
@@ -343,11 +341,9 @@ def recompute_downstream(chain: CorrectChain, corrupted_prefix: Sequence[Step],
     for original in originals:
         rule = original.rule
         target = original.conclusion.fact
-        candidates = list(patterns_concluding_fact(rule, target))
-        original_pattern = _matched_pattern(original)
-        if original_pattern in candidates:
-            candidates.remove(original_pattern)
-            candidates.insert(0, original_pattern)
+        used = match_pattern(rule, original.supports, original.conclusion)
+        # the originally used pattern first, the others in catalog order
+        candidates = sorted(patterns_concluding_fact(rule, target), key=lambda p: p != used)
         applied = None
         for pattern in candidates:
             if all(state.holds(p) for p in pattern.bind_premises(rule)):
@@ -447,16 +443,18 @@ def verify_first_error(inst: Instance) -> InstanceReport:
 
     corrupted = err.steps[k - 1]
     if prefix_ok:
-        if err.error_type.group is ErrorGroup.TRUTH_STATE:
+        if err.error_type.group is ErrorGroup.STRUCTURAL:
+            problem = _structural_predicate(inst, established)
+            if problem is not None:
+                failures.append(f"structural predicate failed: {problem}")
+        elif corrupted.conclusion.fact not in table.slots:
+            failures.append("corrupted conclusion is outside the theory's universe")
+        else:
             verdict = table.decide(rows, corrupted.conclusion)
             if verdict.status is Status.ENTAILED:
                 failures.append("still-derivable")
             elif verdict.status is Status.INCONSISTENT:
                 failures.append("prefix state inconsistent with the theory")
-        else:
-            problem = _structural_predicate(inst, established)
-            if problem is not None:
-                failures.append(f"structural predicate failed: {problem}")
 
         # continuation: pattern application over the explicit corrupted state
         cf_state = state

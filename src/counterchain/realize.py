@@ -153,40 +153,6 @@ def predicate_map_prompt(background: str, name: str,
     ))
 
 
-def rule_prompt(rule_text: str, mapping_json: str, name: str) -> PromptBundle:
-    return PromptBundle((
-        ("system", "Turn the symbolic rule into natural, conversational "
-                   "English, using the predicate mapping. Vary the sentence "
-                   "shape: for an arrow use forms like 'when X, Y follows'; "
-                   "for 'or' say at least one side holds; for 'and' say both "
-                   "hold; for 'xor' say exactly one side holds and never "
-                   "both. Read [[F0]] the same as [F0]. Output only the "
-                   "rewritten rule."),
-        ("user", f"Rule: {rule_text}\n\nPredicate mapping: {mapping_json}\n\n"
-                 f"Name: {name}\n\nRewrite the rule in plain English."),
-    ))
-
-
-def step_prompt(background: str, name: str, facts_nl: Sequence[str],
-                rule_nl: str, conclusion_nl: str, status: str,
-                error_type: str = "none") -> PromptBundle:
-    avoid = ", ".join(f'"{w}"' for w in LEAK_WORDS)
-    return PromptBundle((
-        ("system", "Turn one reasoning step into concise natural English, "
-                   "faithful to the given facts, rule, and outcome. Output "
-                   "only the step text. When the text is used as scoring "
-                   f"input, avoid giveaway words such as {avoid}, and avoid "
-                   "meta phrases that talk about rules or steps instead of "
-                   "the situation."),
-        ("user", f"Background: {background}\n\nName: {name}\n\n"
-                 f"Facts: {'; '.join(facts_nl)}\n\nRule: {rule_nl}\n\n"
-                 f"Outcome: {conclusion_nl}\n\nStep status: {status}\n\n"
-                 f"Issue kind: {error_type}\n\n"
-                 "Write one or two sentences keeping every truth value as "
-                 "given."),
-    ))
-
-
 # ---------------------------------------------------------------------------
 # predicate maps
 

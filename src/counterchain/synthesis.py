@@ -17,6 +17,7 @@ Every synthesized chain passes ``verify_chain`` before being returned.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -72,6 +73,13 @@ class CorrectChain:
     goal: Literal
 
     def theory(self) -> Theory:
+        return self._theory
+
+    @functools.cached_property
+    def _theory(self) -> Theory:
+        # the chain is frozen, so its theory is computed once; the cache sits
+        # in the instance ``__dict__``, outside the fields that equality and
+        # hashing read
         facts = {l.fact for l in self.base_facts} | {self.goal.fact}
         for step in self.steps:
             facts.add(step.conclusion.fact)
@@ -455,24 +463,42 @@ def _plant_spare_impls(builder: _Builder, state: State, count: int) -> None:
 def min_derivation_cost(rules: Iterable[Rule], base: Iterable[Literal],
                         goal: Literal) -> Optional[int]:
     """Fewest pattern applications deriving ``goal`` from ``base``, or None
-    when the catalog cannot reach it."""
-    INF = 10 ** 9
-    cost: dict[Literal, int] = {lit: 0 for lit in base}
-    rules = tuple(rules)
-    changed = True
-    while changed:
-        changed = False
-        for rule in rules:
-            for pattern in licensed_patterns(rule):
-                premises = pattern.bind_premises(rule)
-                if any(p not in cost for p in premises):
-                    continue
-                c = 1 + sum(cost[p] for p in premises)
-                derived = pattern.bind_derived(rule)
-                if cost.get(derived, INF) > c:
-                    cost[derived] = c
-                    changed = True
-    return cost.get(goal)
+    when the catalog cannot reach it.
+
+    A derivation costs 1 plus the costs of its premises, a superior function,
+    so Knuth's generalization of Dijkstra's algorithm ("A generalization of
+    Dijkstra's algorithm", IPL 6(1), 1977) settles literals in cost order and
+    reaches the least fixpoint in one pass: a pattern fires once its last
+    premise is settled, and the search stops when the goal is settled.
+    """
+    # literals are ints, 2 * fact index + value, which hash and order cheaply;
+    # per premise, the pattern instances waiting on it, each as a mutable
+    # [unsettled premises, settled premise cost, derived literal]
+    waiting: dict[int, list[list[int]]] = {}
+    for rule in rules:
+        slots = [2 * f.index for f in rule.slots]
+        for pattern in licensed_patterns(rule):
+            slot, value = pattern.derived
+            entry = [len(pattern.premises), 0, slots[slot] + value]
+            for slot, value in pattern.premises:
+                waiting.setdefault(slots[slot] + value, []).append(entry)
+    target = 2 * goal.fact.index + goal.value
+    heap = [(0, 2 * lit.fact.index + lit.value) for lit in base]
+    heapq.heapify(heap)
+    settled: set[int] = set()
+    while heap:
+        cost, lit = heapq.heappop(heap)
+        if lit in settled:
+            continue
+        if lit == target:
+            return cost
+        settled.add(lit)
+        for entry in waiting.get(lit, ()):
+            entry[0] -= 1
+            entry[1] += cost
+            if entry[0] == 0 and entry[2] not in settled:
+                heapq.heappush(heap, (1 + entry[1], entry[2]))
+    return None
 
 
 def _try_build(cfg: SynthesisConfig, rng: random.Random) -> Optional[CorrectChain]:
@@ -594,7 +620,8 @@ def check_step_local(table: ModelTable, rows: int, state: State,
     pattern:    (supports, conclusion) instantiates a licensed direction and
                 mentions only rule facts;
     fresh:      the concluded fact is not already assigned;
-    semantic:   supports and conclusion are entailed by (theory, prefix).
+    semantic:   supports and conclusion are entailed by (theory, prefix); a
+                fact outside the theory's universe is never entailed.
     """
     rule_facts = set(step.rule.facts())
     procedural = all(lit in established for lit in step.supports)
@@ -603,7 +630,8 @@ def check_step_local(table: ModelTable, rows: int, state: State,
                and step.conclusion.fact not in step.support_facts())
     pattern = in_rule and match_pattern(step.rule, step.supports, step.conclusion) is not None
     fresh = state.value_of(step.conclusion.fact) is TruthValue.UNKNOWN
-    semantic = all(state.holds(lit) or table.decide(rows, lit).status is Status.ENTAILED
+    semantic = all(state.holds(lit) or (lit.fact in table.slots and
+                                        table.decide(rows, lit).status is Status.ENTAILED)
                    for lit in (*step.supports, step.conclusion))
     return StepCheck(step.index, semantic, procedural, pattern, fresh)
 

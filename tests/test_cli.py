@@ -341,6 +341,39 @@ def test_verify_reports_out_of_range_error_index_once(tmp_path, capsys):
     assert "label vector" not in fails[0]
 
 
+def _stray_conclusion(record):
+    record["erroneous_steps"][record["first_error_index"] - 1]["conclusion"] = "[F99]=True"
+
+
+def _stray_prefix_support(record):
+    record["erroneous_steps"][0]["supports"][0] = "[F99]=True"
+
+
+@pytest.mark.parametrize("tamper", [_stray_conclusion, _stray_prefix_support],
+                         ids=["corrupted-conclusion", "prefix-support"])
+def test_fact_outside_the_universe_fails_closed(tmp_path, capsys, tamper):
+    """A stored step naming a fact the record's theory does not know is a
+    per-record FAIL for ``verify`` and an invalid step for ``eval``."""
+    out = tmp_path / "c.jsonl"
+    _run(capsys, "synth", "--count", "6", "--seed", "2", "--out", str(out))
+    header, *records = [json.loads(l) for l in out.read_text().splitlines()]
+    victim = next(r for r in records
+                  if r["error_group"] == "truth_state" and r["first_error_index"] >= 2)
+    tamper(victim)
+    out.write_text("".join(json.dumps(o, separators=(",", ":")) + "\n"
+                           for o in (header, *records)))
+
+    code, stdout, _ = _run(capsys, "verify", str(out))
+    assert code == 1
+    fails = [l for l in stdout.splitlines() if l.startswith("FAIL")]
+    assert len(fails) == 1 and fails[0].startswith(f"FAIL {victim['id']}:")
+    assert "verified 6 instances, 1 failures" in stdout
+
+    code, stdout, _ = _run(capsys, "eval", "--corpus", str(out), "--judge", "oracle")
+    assert code == 0
+    assert "n_instances = 6" in stdout
+
+
 def test_cli_imports_without_numpy():
     src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(
