@@ -3,8 +3,9 @@
 Configuration lives in a flat ``key = value`` text file; command-line flags
 override file values, and the effective configuration digest is embedded in
 every output header. Exit codes: 0 success, 1 verification or lint failure,
-2 usage error, 3 generation exhaustion. Unknown configuration keys and an
-output that cannot be written are usage errors. Output files are written
+2 usage error, 3 generation exhaustion. Unknown configuration keys, an
+output that cannot be written and a record that ``realize`` cannot phrase (it
+names a fact outside its universe) are usage errors. Output files are written
 beside their target and moved into place only when the command succeeds, so a
 failed command leaves no partial file.
 """
@@ -40,7 +41,7 @@ from .evaluation import (
 )
 from .injection import ErrorType, verify_first_error
 from .logic import RuleTemplate
-from .realize import leak_lint, realized
+from .realize import PredicateMapInvalid, leak_lint, realized
 from .synthesis import SynthesisConfig, SynthesisExhausted, verify_chain
 
 EXIT_OK = 0
@@ -239,7 +240,11 @@ def cmd_realize(args) -> int:
     violations_total = 0
     lines = []
     for inst in instances:
-        inst = realized(inst, mode="templated", nl_mode=args.nl_mode)
+        try:
+            inst = realized(inst, nl_mode=args.nl_mode)
+        except PredicateMapInvalid as exc:
+            print(f"cannot realize {inst.id}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         violations = leak_lint(inst.nl, inst.k)
         for v in violations:
             print(f"LEAK {inst.id} step {v.step_index}: {v.word!r}")

@@ -95,11 +95,9 @@ class InstanceLabels:
     erroneous: tuple[StepLabel, ...]
 
 
-def label_steps(inst: Instance, strategy: str = "all_after_error") -> InstanceLabels:
+def label_steps(inst: Instance) -> InstanceLabels:
     """Correct-chain steps are all valid; in the erroneous chain the first
     corrupted step and everything after it is invalid."""
-    if strategy != "all_after_error":
-        raise ValueError(f"unknown labeling strategy: {strategy!r}")
     k = inst.k
     correct = tuple(StepLabel(s.index, "valid") for s in inst.correct.steps)
     erroneous = tuple(

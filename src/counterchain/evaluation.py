@@ -16,10 +16,10 @@ from typing import Callable, Optional, Protocol, Sequence
 
 from .dataset import label_steps
 from .injection import Instance
-from .logic import Literal, Rule, State
-from .prover import Theory, model_table
+from .logic import Literal, Rule
+from .prover import Theory
 from .realize import PromptBundle
-from .synthesis import Step, check_step_local
+from .synthesis import Prefix, Step
 
 
 @dataclass(frozen=True)
@@ -51,26 +51,8 @@ class OracleJudge:
 
     def score_trajectory(self, context: JudgeContext,
                          steps: Sequence[Step]) -> list[float]:
-        scores: list[float] = []
-        table = model_table(context.theory)
-        state = State({l.fact: l.value for l in context.base_facts})
-        rows = table.restrict_state(state)
-        established = set(context.base_facts)
-        poisoned = False
-        for step in steps:
-            if poisoned:
-                scores.append(0.0)
-                continue
-            check = check_step_local(table, rows, state, established, step)
-            if check.ok:
-                scores.append(1.0)
-                state = state.with_literal(step.conclusion)
-                established.add(step.conclusion)
-                rows = table.restrict(rows, step.conclusion)
-            else:
-                scores.append(0.0)
-                poisoned = True
-        return scores
+        valid = Prefix(context.theory, context.base_facts).replay(steps)
+        return [1.0] * valid + [0.0] * (len(steps) - valid)
 
     def score_step(self, context: JudgeContext, prefix: Sequence[Step],
                    step: Step) -> float:
@@ -227,40 +209,28 @@ def _judge_scores(judge, context: JudgeContext, steps: Sequence[Step]) -> list[f
     return out
 
 
-def evaluate_instances(instances: Sequence[Instance], judge,
-                       threshold: float = 0.5,
-                       erroneous_only: bool = True) -> EvalReport:
-    predictions: list[Optional[int]] = []
-    gold_positions: list[Optional[int]] = []
-    predicted_labels: list[list[bool]] = []
-    gold_label_rows: list[list[bool]] = []
-    rows_by_type: dict[str, list[int]] = {}
-
-    for inst in instances:
-        context = JudgeContext.for_instance(inst)
-        labels = label_steps(inst)
-        trajectories = [(inst.erroneous.steps, inst.k,
-                         [l.label == "valid" for l in labels.erroneous])]
-        if not erroneous_only:
-            trajectories.append((inst.correct.steps, None,
-                                 [True] * len(inst.correct.steps)))
-        for steps, gold_k, gold_row in trajectories:
-            scores = _judge_scores(judge, context, steps)
-            predictions.append(predict_first_error(scores, threshold))
-            gold_positions.append(gold_k)
-            predicted_labels.append([s >= threshold for s in scores])
-            gold_label_rows.append(gold_row)
-            rows_by_type.setdefault(inst.error_type.value, []).append(
-                len(predictions) - 1)
-
+def _report(scored: Sequence[tuple[list[float], Optional[int], list[bool], str]],
+            n_instances: int, threshold: float,
+            erroneous_only: bool = True) -> EvalReport:
+    """Metrics over scored trajectories, each given as (step scores, gold
+    first-error position, gold validity row, error type); trajectories with
+    an empty error type are left out of the per-type rows."""
+    predictions = [predict_first_error(scores, threshold) for scores, *_ in scored]
+    gold_positions = [gold_k for _, gold_k, *_ in scored]
+    predicted_labels = [[s >= threshold for s in scores] for scores, *_ in scored]
+    gold_label_rows = [gold_row for *_, gold_row, _ in scored]
     report = EvalReport(
         first_error_acc=first_error_accuracy(predictions, gold_positions),
         all_step_acc=all_step_accuracy(predicted_labels, gold_label_rows),
         all_step_macro=all_step_macro(predicted_labels, gold_label_rows),
-        n_instances=len(instances),
+        n_instances=n_instances,
         threshold=threshold,
         erroneous_only=erroneous_only,
     )
+    rows_by_type: dict[str, list[int]] = {}
+    for r, (*_, name) in enumerate(scored):
+        if name:
+            rows_by_type.setdefault(name, []).append(r)
     for name, rows in sorted(rows_by_type.items()):
         report.per_type[name] = {
             "n": float(len(rows)),
@@ -271,6 +241,24 @@ def evaluate_instances(instances: Sequence[Instance], judge,
                 [gold_label_rows[r] for r in rows]),
         }
     return report
+
+
+def evaluate_instances(instances: Sequence[Instance], judge,
+                       threshold: float = 0.5,
+                       erroneous_only: bool = True) -> EvalReport:
+    scored = []
+    for inst in instances:
+        context = JudgeContext.for_instance(inst)
+        labels = label_steps(inst)
+        trajectories = [(inst.erroneous.steps, inst.k,
+                         [l.label == "valid" for l in labels.erroneous])]
+        if not erroneous_only:
+            trajectories.append((inst.correct.steps, None,
+                                 [True] * len(inst.correct.steps)))
+        for steps, gold_k, gold_row in trajectories:
+            scored.append((_judge_scores(judge, context, steps), gold_k, gold_row,
+                           inst.error_type.value))
+    return _report(scored, len(instances), threshold, erroneous_only)
 
 
 def make_judge(spec: str) -> object:
@@ -287,27 +275,16 @@ def evaluate_scored_records(records: Sequence[dict],
     """Metrics over externally scored trajectories: line objects carrying
     ``step_scores``, gold ``labels`` (valid/invalid), and an optional
     ``first_error_index`` (absent or null for clean trajectories)."""
-    predictions: list[Optional[int]] = []
-    gold_positions: list[Optional[int]] = []
-    predicted_labels: list[list[bool]] = []
-    gold_label_rows: list[list[bool]] = []
+    scored = []
     for record in records:
         scores = [float(s) for s in record["step_scores"]]
         gold_row = [label == "valid" for label in record["labels"]]
         if len(scores) != len(gold_row):
             raise ValueError("step_scores and labels disagree in length")
         gold_k = record.get("first_error_index")
-        predictions.append(predict_first_error(scores, threshold))
-        gold_positions.append(int(gold_k) if gold_k is not None else None)
-        predicted_labels.append([s >= threshold for s in scores])
-        gold_label_rows.append(gold_row)
-    return EvalReport(
-        first_error_acc=first_error_accuracy(predictions, gold_positions),
-        all_step_acc=all_step_accuracy(predicted_labels, gold_label_rows),
-        all_step_macro=all_step_macro(predicted_labels, gold_label_rows),
-        n_instances=len(records),
-        threshold=threshold,
-    )
+        scored.append((scores, int(gold_k) if gold_k is not None else None,
+                       gold_row, ""))
+    return _report(scored, len(records), threshold)
 
 
 def load_scored_records(path: str) -> list[dict]:

@@ -27,13 +27,12 @@ from .prover import (
     InferencePattern,
     Status,
     match_pattern,
-    model_table,
     patterns_concluding_fact,
 )
 from .synthesis import (
     CorrectChain,
+    Prefix,
     Step,
-    check_step_local,
     step_supports,
     topological_order,
 )
@@ -425,39 +424,27 @@ def verify_first_error(inst: Instance) -> InstanceReport:
         if not err.steps[t].content_equals(chain.steps[t]):
             failures.append(f"prefix differs from the correct chain at step {t + 1}")
 
-    table = model_table(theory)
-    state = chain.base_state()
-    rows = table.restrict_state(state)
-    established = set(chain.base_facts)
-    prefix_ok = True
-    for t in range(k - 1):
-        step = err.steps[t]
-        check = check_step_local(table, rows, state, established, step)
-        if not check.ok:
-            failures.append(f"prefix step {t + 1} is not valid")
-            prefix_ok = False
-            break
-        state = state.with_literal(step.conclusion)
-        established.add(step.conclusion)
-        rows = table.restrict(rows, step.conclusion)
-
-    corrupted = err.steps[k - 1]
-    if prefix_ok:
+    prefix = Prefix(theory, chain.base_facts)
+    valid = prefix.replay(err.steps[:k - 1])
+    if valid < k - 1:
+        failures.append(f"prefix step {valid + 1} is not valid")
+    else:
+        corrupted = err.steps[k - 1]
         if err.error_type.group is ErrorGroup.STRUCTURAL:
-            problem = _structural_predicate(inst, established)
+            problem = _structural_predicate(inst, prefix.established)
             if problem is not None:
                 failures.append(f"structural predicate failed: {problem}")
-        elif corrupted.conclusion.fact not in table.slots:
+        elif corrupted.conclusion.fact not in prefix.table.slots:
             failures.append("corrupted conclusion is outside the theory's universe")
         else:
-            verdict = table.decide(rows, corrupted.conclusion)
+            verdict = prefix.table.decide(prefix.rows, corrupted.conclusion)
             if verdict.status is Status.ENTAILED:
                 failures.append("still-derivable")
             elif verdict.status is Status.INCONSISTENT:
                 failures.append("prefix state inconsistent with the theory")
 
         # continuation: pattern application over the explicit corrupted state
-        cf_state = state
+        cf_state = prefix.state
         if not cf_state.holds(corrupted.conclusion):
             cf_state = cf_state.with_literal(corrupted.conclusion, overwrite=True)
         for t in range(k, len(err.steps)):

@@ -2,9 +2,10 @@
 
 The default engine is a deterministic offline templater: one predicate frame
 per fact, shared by both chains, so the correct and erroneous trajectory
-differ in text exactly where they differ in symbols. An external translator
-can be plugged in through ``TranslatorClient``; its replies are validated for
-coverage and uniqueness and linted for label-leaking words before acceptance.
+differ in text exactly where they differ in symbols. Given a
+``TranslatorClient``, the predicate map comes from an external translator
+instead; its replies are validated for coverage and uniqueness and linted for
+label-leaking words before acceptance, with ``TRANSLATOR_RETRIES`` retries.
 Tests always substitute a scripted client; nothing here performs network I/O
 on its own.
 """
@@ -13,11 +14,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import random
 import re
 from dataclasses import dataclass
-from typing import Optional, Protocol, Sequence
+from typing import Iterator, Optional, Protocol, Sequence
 
 from . import lexicon
 from .injection import Instance
@@ -94,21 +94,8 @@ class TranslatorClient(Protocol):
         ...
 
 
-@dataclass(frozen=True)
-class TranslatorSettings:
-    endpoint: str = ""
-    model: str = ""
-    timeout: float = 30.0
-    retries: int = 2
-
-    @classmethod
-    def from_env(cls) -> "TranslatorSettings":
-        return cls(
-            endpoint=os.environ.get("COUNTERCHAIN_TRANSLATOR_ENDPOINT", ""),
-            model=os.environ.get("COUNTERCHAIN_TRANSLATOR_MODEL", ""),
-            timeout=float(os.environ.get("COUNTERCHAIN_TRANSLATOR_TIMEOUT", "30")),
-            retries=int(os.environ.get("COUNTERCHAIN_TRANSLATOR_RETRIES", "2")),
-        )
+# how many times a rejected predicate-map reply is asked for again
+TRANSLATOR_RETRIES = 2
 
 
 class ScriptedTranslator:
@@ -161,14 +148,12 @@ def _instance_facts(inst: Instance) -> list[FactId]:
     return list(inst.correct.theory().universe)
 
 
-def build_predicate_map(inst: Instance, mode: str = "templated", seed: int = 0,
-                        client: Optional[TranslatorClient] = None,
-                        settings: Optional[TranslatorSettings] = None,
-                        ) -> PredicateMap:
-    """Deterministic lexicon draw in templated mode; a validated external
-    reply in external mode."""
+def build_predicate_map(inst: Instance, seed: int = 0,
+                        client: Optional[TranslatorClient] = None) -> PredicateMap:
+    """A deterministic lexicon draw, or a validated reply from ``client``
+    when one is given."""
     facts = _instance_facts(inst)
-    if mode == "templated":
+    if client is None:
         rng = random.Random(seed)
         name = rng.choice(lexicon.NAMES)
         background = rng.choice(lexicon.BACKGROUND_FRAMES).format(name=name)
@@ -183,17 +168,12 @@ def build_predicate_map(inst: Instance, mode: str = "templated", seed: int = 0,
         }
         return PredicateMap(ContextProfile(name, background), entries)
 
-    if mode != "external":
-        raise ValueError(f"unknown realization mode: {mode!r}")
-    if client is None:
-        raise ValueError("external mode needs a TranslatorClient")
-    settings = settings or TranslatorSettings.from_env()
     rng = random.Random(seed)
     name = rng.choice(lexicon.NAMES)
     background = client.send(background_prompt(name)).strip()
     symbols = [str(f) for f in facts]
     last_error: Optional[Exception] = None
-    for _ in range(max(1, settings.retries + 1)):
+    for _ in range(TRANSLATOR_RETRIES + 1):
         reply = client.send(predicate_map_prompt(background, name, symbols))
         try:
             entries = _parse_external_map(reply, facts)
@@ -285,6 +265,18 @@ _ANNOTATIONS = {
 }
 
 
+def _mentioned_facts(inst: Instance) -> Iterator[FactId]:
+    yield inst.goal.fact
+    for lit in inst.base_facts:
+        yield lit.fact
+    for rule in inst.rules:
+        yield from rule.facts()
+    for step in (*inst.correct.steps, *inst.erroneous.steps):
+        yield from step.rule.facts()
+        for lit in (*step.supports, step.conclusion):
+            yield lit.fact
+
+
 def realize_instance(inst: Instance, pmap: PredicateMap, mode: str = "clean",
                      seed: int = 0) -> dict:
     """NL record covering goal, base facts, rules, and both chains.
@@ -293,10 +285,14 @@ def realize_instance(inst: Instance, pmap: PredicateMap, mode: str = "clean",
     so prefix steps render byte-identically and later differences all trace
     back to symbolic differences. ``annotated`` mode adds a mechanism note to
     each erroneous step from the corruption on; the note is a separate field,
-    never part of the step text.
+    never part of the step text. A record that names a fact ``pmap`` does not
+    cover, one outside its universe, raises ``PredicateMapInvalid``.
     """
     if mode not in ("clean", "annotated"):
         raise ValueError(f"unknown nl mode: {mode!r}")
+    stray = next((f for f in _mentioned_facts(inst) if f not in pmap.entries), None)
+    if stray is not None:
+        raise PredicateMapInvalid(f"{stray} is outside the record's universe")
     rule_texts = {rule: _realize_rule(rule, pmap, seed, i)
                   for i, rule in enumerate(inst.rules)}
     goal_frame = _frame_pick(lexicon.GOAL_FRAMES, seed, 31)
@@ -331,12 +327,11 @@ def realize_instance(inst: Instance, pmap: PredicateMap, mode: str = "clean",
     return record
 
 
-def realized(inst: Instance, mode: str = "templated", nl_mode: str = "clean",
-             seed: Optional[int] = None,
+def realized(inst: Instance, nl_mode: str = "clean", seed: Optional[int] = None,
              client: Optional[TranslatorClient] = None) -> Instance:
     """Instance with its NL record and context attached."""
     map_seed = inst.seed if seed is None else seed
-    pmap = build_predicate_map(inst, mode=mode, seed=map_seed, client=client)
+    pmap = build_predicate_map(inst, seed=map_seed, client=client)
     record = realize_instance(inst, pmap, mode=nl_mode, seed=map_seed)
     return dataclasses.replace(inst, nl=record, context=pmap.context)
 

@@ -27,10 +27,8 @@ from .logic import TEMPLATES, FactId, Literal, Rule, RuleTemplate, State, TruthV
 from .prover import (
     _CATALOG,
     InferencePattern,
-    ModelTable,
     Status,
     Theory,
-    entails,
     licensed_patterns,
     match_pattern,
     model_table,
@@ -566,11 +564,7 @@ def _try_build(cfg: SynthesisConfig, rng: random.Random) -> Optional[CorrectChai
     cost = min_derivation_cost(chain.rules, chain.base_facts, goal)
     if cost is None or cost < cfg.min_useful_steps:
         return None
-    if not verify_chain(chain).valid:
-        return None
-    if entails(chain.theory(), chain.base_state(), chain.goal).status is not Status.ENTAILED:
-        return None
-    return chain
+    return chain if verify_chain(chain).valid else None
 
 
 def synthesize_chain(cfg: SynthesisConfig, seed: int) -> CorrectChain:
@@ -607,33 +601,58 @@ class ChainReport:
     step_checks: tuple[StepCheck, ...]
 
 
-def check_step_local(table: ModelTable, rows: int, state: State,
-                     established: set[Literal], step: Step) -> StepCheck:
-    """Validity of one step against an explicit prefix.
+class Prefix:
+    """A theory's model table replayed over a growing prefix.
 
-    ``table`` is the theory's model table and ``rows`` its rows restricted
-    to ``state``. A prefix walk looks the table up once and narrows ``rows``
-    with ``table.restrict`` for each conclusion it adds to ``state``, which
-    equals ``table.restrict_state(state)`` because restriction is an AND.
-
-    procedural: every support is a base fact or an earlier conclusion;
-    pattern:    (supports, conclusion) instantiates a licensed direction and
-                mentions only rule facts;
-    fresh:      the concluded fact is not already assigned;
-    semantic:   supports and conclusion are entailed by (theory, prefix); a
-                fact outside the theory's universe is never entailed.
+    ``state`` and ``established`` start from ``literals`` and ``rows`` is the
+    table restricted to ``state``. ``extend`` is the only code that grows the
+    prefix, and it narrows ``rows`` with ``table.restrict``, so ``rows``
+    always equals ``table.restrict_state(state)`` (restriction is an AND).
     """
-    rule_facts = set(step.rule.facts())
-    procedural = all(lit in established for lit in step.supports)
-    in_rule = (step.support_facts() <= rule_facts
-               and step.conclusion.fact in rule_facts
-               and step.conclusion.fact not in step.support_facts())
-    pattern = in_rule and match_pattern(step.rule, step.supports, step.conclusion) is not None
-    fresh = state.value_of(step.conclusion.fact) is TruthValue.UNKNOWN
-    semantic = all(state.holds(lit) or (lit.fact in table.slots and
-                                        table.decide(rows, lit).status is Status.ENTAILED)
-                   for lit in (*step.supports, step.conclusion))
-    return StepCheck(step.index, semantic, procedural, pattern, fresh)
+
+    def __init__(self, theory: Theory, literals: Iterable[Literal]):
+        literals = tuple(literals)
+        self.table = model_table(theory)
+        self.state = State({l.fact: l.value for l in literals})
+        self.rows = self.table.restrict_state(self.state)
+        self.established = set(literals)
+
+    def extend(self, lit: Literal) -> None:
+        self.state = self.state.with_literal(lit)
+        self.established.add(lit)
+        self.rows = self.table.restrict(self.rows, lit)
+
+    def check(self, step: Step) -> StepCheck:
+        """Validity of one step against the prefix.
+
+        procedural: every support is a base fact or an earlier conclusion;
+        pattern:    (supports, conclusion) instantiates a licensed direction and
+                    mentions only rule facts;
+        fresh:      the concluded fact is not already assigned;
+        semantic:   supports and conclusion are entailed by (theory, prefix); a
+                    fact outside the theory's universe is never entailed.
+        """
+        table, rows, state = self.table, self.rows, self.state
+        rule_facts = set(step.rule.facts())
+        procedural = all(lit in self.established for lit in step.supports)
+        in_rule = (step.support_facts() <= rule_facts
+                   and step.conclusion.fact in rule_facts
+                   and step.conclusion.fact not in step.support_facts())
+        pattern = in_rule and match_pattern(step.rule, step.supports, step.conclusion) is not None
+        fresh = state.value_of(step.conclusion.fact) is TruthValue.UNKNOWN
+        semantic = all(state.holds(lit) or (lit.fact in table.slots and
+                                            table.decide(rows, lit).status is Status.ENTAILED)
+                       for lit in (*step.supports, step.conclusion))
+        return StepCheck(step.index, semantic, procedural, pattern, fresh)
+
+    def replay(self, steps: Sequence[Step]) -> int:
+        """Extend by each step's conclusion while the step checks ``ok``;
+        returns the number of steps that did."""
+        for done, step in enumerate(steps):
+            if not self.check(step).ok:
+                return done
+            self.extend(step.conclusion)
+        return len(steps)
 
 
 def verify_chain(chain: CorrectChain) -> ChainReport:
@@ -643,22 +662,19 @@ def verify_chain(chain: CorrectChain) -> ChainReport:
     except Exception as exc:  # noqa: BLE001 - report, don't raise
         return ChainReport(False, (f"theory: {exc}",), ())
 
-    table = model_table(theory)
-    state = chain.base_state()
-    rows = table.restrict_state(state)
-    if len(state) != len(chain.base_facts):
+    prefix = Prefix(theory, chain.base_facts)
+    if len(prefix.state) != len(chain.base_facts):
         failures.append("base facts assign some fact twice")
-    if not rows:
+    if not prefix.rows:
         failures.append("base facts are inconsistent with the rules")
         return ChainReport(False, tuple(failures), ())
 
     rule_set = set(chain.rules)
-    established: set[Literal] = set(chain.base_facts)
     checks: list[StepCheck] = []
     for step in chain.steps:
         if step.rule not in rule_set:
             failures.append(f"step {step.index}: rule not in the chain's rule list")
-        check = check_step_local(table, rows, state, established, step)
+        check = prefix.check(step)
         checks.append(check)
         if not check.procedural:
             failures.append(f"step {step.index}: support not established")
@@ -669,9 +685,7 @@ def verify_chain(chain: CorrectChain) -> ChainReport:
         if not check.semantic:
             failures.append(f"step {step.index}: not entailed by prefix")
         if check.fresh_conclusion:
-            state = state.with_literal(step.conclusion)
-            established.add(step.conclusion)
-            rows = table.restrict(rows, step.conclusion)
+            prefix.extend(step.conclusion)
 
     try:
         topological_order(chain.steps)
@@ -680,7 +694,7 @@ def verify_chain(chain: CorrectChain) -> ChainReport:
 
     if not chain.steps or chain.steps[-1].conclusion != chain.goal:
         failures.append("final step does not conclude the goal")
-    if not rows:
+    if not prefix.rows:
         failures.append("established facts are inconsistent with the rules")
 
     return ChainReport(not failures, tuple(failures), tuple(checks))

@@ -353,7 +353,8 @@ def _stray_prefix_support(record):
                          ids=["corrupted-conclusion", "prefix-support"])
 def test_fact_outside_the_universe_fails_closed(tmp_path, capsys, tamper):
     """A stored step naming a fact the record's theory does not know is a
-    per-record FAIL for ``verify`` and an invalid step for ``eval``."""
+    per-record FAIL for ``verify``, an invalid step for ``eval`` and a usage
+    error naming the record and the fact for ``realize``."""
     out = tmp_path / "c.jsonl"
     _run(capsys, "synth", "--count", "6", "--seed", "2", "--out", str(out))
     header, *records = [json.loads(l) for l in out.read_text().splitlines()]
@@ -372,6 +373,13 @@ def test_fact_outside_the_universe_fails_closed(tmp_path, capsys, tamper):
     code, stdout, _ = _run(capsys, "eval", "--corpus", str(out), "--judge", "oracle")
     assert code == 0
     assert "n_instances = 6" in stdout
+
+    realized = tmp_path / "r.jsonl"
+    code, _, stderr = _run(capsys, "realize", str(out), "--out", str(realized))
+    assert code == 2
+    assert f"cannot realize {victim['id']}: [F99]" in stderr
+    assert not realized.exists()
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_cli_imports_without_numpy():

@@ -42,11 +42,6 @@ def test_label_steps_error_at_last_step():
     assert labels.erroneous[-1].label == "invalid"
 
 
-def test_label_steps_unknown_strategy():
-    with pytest.raises(ValueError):
-        label_steps(fixtures.bakery_instance(), strategy="first_only")
-
-
 def test_default_weights_cover_all_types_and_published_mass():
     types = {e for e, _ in DEFAULT_ERROR_WEIGHTS}
     assert types == set(ErrorType)

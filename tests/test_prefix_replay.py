@@ -20,7 +20,7 @@ from counterchain import (
     verify_chain,
     verify_first_error,
 )
-from counterchain import evaluation, injection, synthesis
+from counterchain import synthesis
 from counterchain.dataset import deserialize_instance, generate_instances
 from counterchain.prover import model_table
 
@@ -68,16 +68,22 @@ def _tampered(inst):
         yield "heal-corrupted-step", replace(inst, erroneous=replace(err, steps=steps))
 
 
+# each prefix walk on its own, by the key ``_walk_all`` reports it under
+_WALKS = {
+    "chain": lambda inst, judge, context: list(verify_chain(inst.correct).failures),
+    "first_error": lambda inst, judge, context: list(verify_first_error(inst).failures),
+    "scores_erroneous": lambda inst, judge, context:
+        judge.score_trajectory(context, inst.erroneous.steps),
+    "scores_correct": lambda inst, judge, context:
+        judge.score_trajectory(context, inst.correct.steps),
+}
+
+
 def _walk_all(inst) -> dict:
     """What each prefix walk returns for ``inst``."""
     context = JudgeContext.for_instance(inst)
     judge = OracleJudge()
-    return {
-        "chain": list(verify_chain(inst.correct).failures),
-        "first_error": list(verify_first_error(inst).failures),
-        "scores_erroneous": judge.score_trajectory(context, inst.erroneous.steps),
-        "scores_correct": judge.score_trajectory(context, inst.correct.steps),
-    }
+    return {name: walk(inst, judge, context) for name, walk in _WALKS.items()}
 
 
 @pytest.fixture(scope="module")
@@ -88,23 +94,24 @@ def cases():
 
 def test_carried_rows_equal_rows_restricted_from_scratch(cases, monkeypatch):
     mismatches, calls = [], {}
-    real = synthesis.check_step_local
+    real = synthesis.Prefix.check
+    walk_name = None
 
-    def spy_for(walk):
-        def spy(table, rows, state, established, step):
-            calls[walk] = calls.get(walk, 0) + 1
-            # the reference: the full table restricted by the whole prefix state
-            if rows != model_table(table.theory).restrict_state(state):
-                mismatches.append((walk, step.index))
-            return real(table, rows, state, established, step)
-        return spy
+    def spy(prefix, step):
+        calls[walk_name] = calls.get(walk_name, 0) + 1
+        # the reference: the full table restricted by the whole prefix state
+        if prefix.rows != model_table(prefix.table.theory).restrict_state(prefix.state):
+            mismatches.append((walk_name, step.index))
+        return real(prefix, step)
 
-    for module in (synthesis, injection, evaluation):
-        monkeypatch.setattr(module, "check_step_local", spy_for(module.__name__))
-    for _, inst in cases:
-        _walk_all(inst)
-    assert sorted(calls) == ["counterchain.evaluation", "counterchain.injection",
-                             "counterchain.synthesis"]
+    monkeypatch.setattr(synthesis.Prefix, "check", spy)
+    judge = OracleJudge()
+    # one walk at a time over every case, so each walk's calls are counted
+    # on their own
+    for walk_name, walk in _WALKS.items():
+        for _, inst in cases:
+            walk(inst, judge, JudgeContext.for_instance(inst))
+    assert sorted(calls) == sorted(_WALKS)
     assert min(calls.values()) > len(cases)
     assert mismatches == []
 

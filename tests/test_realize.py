@@ -60,7 +60,7 @@ def test_external_map_accepted_with_scripted_client():
     })
     client = ScriptedTranslator(["A baker from a coastal town.",
                                  json.dumps(mapping)])
-    pmap = build_predicate_map(inst, mode="external", seed=0, client=client)
+    pmap = build_predicate_map(inst, seed=0, client=client)
     assert pmap.entries[FactId(12)].negative == \
         "The idea of a dessert truck never crossed his mind"
     assert len(client.transcript) == 2
@@ -76,7 +76,7 @@ def test_external_map_missing_symbol_rejected():
     client = ScriptedTranslator(["bg", json.dumps(mapping),
                                  json.dumps(mapping), json.dumps(mapping)])
     with pytest.raises(PredicateMapInvalid):
-        build_predicate_map(inst, mode="external", seed=0, client=client)
+        build_predicate_map(inst, seed=0, client=client)
 
 
 def test_external_map_duplicate_predicate_rejected():
@@ -86,7 +86,7 @@ def test_external_map_duplicate_predicate_rejected():
     mapping[keys[1]]["predicate"] = mapping[keys[0]]["predicate"]
     client = ScriptedTranslator(["bg"] + [json.dumps(mapping)] * 3)
     with pytest.raises(PredicateMapInvalid):
-        build_predicate_map(inst, mode="external", seed=0, client=client)
+        build_predicate_map(inst, seed=0, client=client)
 
 
 def test_external_map_leaky_sentence_rejected_then_retried():
@@ -96,7 +96,7 @@ def test_external_map_leaky_sentence_rejected_then_retried():
     bad[first_key]["true"] = "This is clearly the wrong habit"
     good = _external_mapping_reply(inst)
     client = ScriptedTranslator(["bg", json.dumps(bad), json.dumps(good)])
-    pmap = build_predicate_map(inst, mode="external", seed=0, client=client)
+    pmap = build_predicate_map(inst, seed=0, client=client)
     assert len(client.transcript) == 3  # background + failed + retry
 
 
@@ -105,8 +105,8 @@ def test_external_transcript_replays_identically():
     mapping = json.dumps(_external_mapping_reply(inst))
     first = ScriptedTranslator(["A quiet baker.", mapping])
     second = ScriptedTranslator(["A quiet baker.", mapping])
-    a = build_predicate_map(inst, mode="external", seed=3, client=first)
-    b = build_predicate_map(inst, mode="external", seed=3, client=second)
+    a = build_predicate_map(inst, seed=3, client=first)
+    b = build_predicate_map(inst, seed=3, client=second)
     assert a == b
     assert first.transcript == second.transcript  # prompts are deterministic
 

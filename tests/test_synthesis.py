@@ -12,8 +12,7 @@ from counterchain import (
     topological_order,
     verify_chain,
 )
-from counterchain.prover import model_table
-from counterchain.synthesis import CorrectChain, check_step_local, min_derivation_cost
+from counterchain.synthesis import CorrectChain, Prefix, min_derivation_cost
 
 from . import fixtures
 from .oracles import oracle_topological
@@ -111,9 +110,7 @@ def test_converse_citation_invalidates_chain():
 
 
 def _semantic(theory, prefix_state, step) -> bool:
-    table = model_table(theory)
-    rows = table.restrict_state(prefix_state)
-    return check_step_local(table, rows, prefix_state, set(), step).semantic
+    return Prefix(theory, prefix_state.literals()).check(step).semantic
 
 
 def test_check_step_semantic_golden_final_step():
