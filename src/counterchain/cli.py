@@ -24,6 +24,7 @@ from .dataset import (
     CorpusConfig,
     CorpusExhausted,
     DEFAULT_ERROR_WEIGHTS,
+    SCHEMA_VERSION,
     SchemaMismatchError,
     MalformedRecordError,
     generate_corpus,
@@ -198,7 +199,7 @@ def cmd_synth(args) -> int:
     try:
         with _atomic_path(stats_path) as out, open(out, "w", encoding="utf-8") as fh:
             fh.write(f"config_digest = {cfg.digest()}\n")
-            fh.write(f"schema_version = {cfg.schema_version}\n")
+            fh.write(f"schema_version = {SCHEMA_VERSION}\n")
             fh.write(stats.to_text())
     except OSError as exc:
         print(f"cannot write {stats_path}: {exc}", file=sys.stderr)
@@ -252,7 +253,7 @@ def cmd_realize(args) -> int:
         lines.append(serialize_instance(inst))
     try:
         with _atomic_path(args.out) as out, open(out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"record": "header", "schema_version": 1,
+            fh.write(json.dumps({"record": "header", "schema_version": SCHEMA_VERSION,
                                  "realized_from": args.corpus,
                                  "nl_mode": args.nl_mode,
                                  "config_digest": _flags_digest("realize",

@@ -41,6 +41,10 @@ from .synthesis import CorrectChain, Step, SynthesisConfig, synthesize_chain
 
 SCHEMA_VERSION = 1
 
+# chains drawn per index before giving up, and injection sites tried per chain
+MAX_CHAIN_ATTEMPTS = 600
+SITES_PER_CHAIN = 4
+
 # published error-type mix of the reference 20k corpus, as weights
 DEFAULT_ERROR_WEIGHTS: tuple[tuple[ErrorType, float], ...] = (
     (ErrorType.XOR_AS_EQUIV, 3610),
@@ -306,9 +310,6 @@ class CorpusConfig:
     synthesis: SynthesisConfig = SynthesisConfig()
     k_first: int = 2
     k_exclude_last: bool = True
-    max_chain_attempts: int = 600
-    sites_per_chain: int = 4
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
         if self.total_count <= 0:
@@ -324,7 +325,7 @@ class CorpusConfig:
     def digest(self) -> str:
         payload = repr((self.total_count, self.seed, self.error_weights,
                         self.synthesis, self.k_first, self.k_exclude_last,
-                        self.schema_version)).encode()
+                        SCHEMA_VERSION)).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
 
 
@@ -410,7 +411,7 @@ def build_instance(cfg: CorpusConfig, index: int,
     delta = {ErrorType.REDUNDANT_STEP: 1, ErrorType.MISSING_PREREQUISITE: -1}
     shift = delta.get(target, 0)
 
-    for _ in range(cfg.max_chain_attempts):
+    for _ in range(MAX_CHAIN_ATTEMPTS):
         chain = synthesize_chain(cfg.synthesis, rng.getrandbits(63))
         if not lo <= len(chain.steps) + shift <= hi:
             note("length-budget")
@@ -421,7 +422,7 @@ def build_instance(cfg: CorpusConfig, index: int,
             note("no-applicable-site")
             continue
         rng.shuffle(sites)
-        for k in sites[: cfg.sites_per_chain]:
+        for k in sites[:SITES_PER_CHAIN]:
             try:
                 err = inject(chain, k, target, seed=rng.getrandbits(63))
             except InjectionInfeasible:
@@ -441,7 +442,7 @@ def build_instance(cfg: CorpusConfig, index: int,
             note(report.reason().split(":")[0])
     raise CorpusExhausted(
         f"index {index}: could not realize {target.value} after "
-        f"{cfg.max_chain_attempts} chains", reasons)
+        f"{MAX_CHAIN_ATTEMPTS} chains", reasons)
 
 
 @dataclass

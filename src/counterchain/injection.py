@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .logic import FactId, Literal, Rule, RuleTemplate, TruthValue
+from .logic import Literal, Rule, RuleTemplate, State, TruthValue
 from .prover import (
     Direction,
     InferencePattern,
@@ -241,12 +241,6 @@ def applicable_errors(chain: CorrectChain, k: int) -> frozenset[ErrorType]:
 # injection
 
 
-def _reordered_supports(rule: Rule, values: dict[FactId, bool],
-                        conclusion_fact: FactId) -> tuple[Literal, ...]:
-    return tuple(Literal(f, values[f]) for f in rule.facts()
-                 if f != conclusion_fact and f in values)
-
-
 def inject(chain: CorrectChain, k: int, e: ErrorType, seed: int) -> ErroneousChain:
     """Corrupt step k of a verified chain with error type ``e`` and rebuild
     the continuation under the corrupted state."""
@@ -273,7 +267,7 @@ def inject(chain: CorrectChain, k: int, e: ErrorType, seed: int) -> ErroneousCha
             slot_fact = step.rule.facts()[0]          # the true conjunct
             wrong = Literal(slot_fact, False)
         values = {l.fact: l.value for l in step.supports if l.fact != slot_fact}
-        corrupted = Step(k, _reordered_supports(step.rule, values, slot_fact),
+        corrupted = Step(k, step_supports(step.rule, slot_fact, State(values)),
                          step.rule, wrong)
 
     elif e is ErrorType.VACUOUS_TRUTH_ERROR:
@@ -309,7 +303,7 @@ def inject(chain: CorrectChain, k: int, e: ErrorType, seed: int) -> ErroneousCha
         j, future = rng.choice(site.cycle_sites)
         values = {l.fact: l.value for l in step.supports}
         values[future.fact] = future.value
-        corrupted = Step(k, _reordered_supports(step.rule, values, step.conclusion.fact),
+        corrupted = Step(k, step_supports(step.rule, step.conclusion.fact, State(values)),
                          step.rule, step.conclusion)
 
     if corrupted.content_equals(step):

@@ -145,7 +145,8 @@ class ModelTable:
         return EntailmentResult(Status.NOT_ENTAILED, witness=State(assignment))
 
 
-@functools.lru_cache(maxsize=256)
+# one entry: each walk reads one theory's table, and no walk reads an older one
+@functools.lru_cache(maxsize=1)
 def model_table(theory: Theory) -> ModelTable:
     return ModelTable(theory)
 
@@ -269,7 +270,6 @@ def verify_catalog() -> bool:
 
 
 def licensed_patterns(rule: Rule) -> tuple[InferencePattern, ...]:
-    verify_catalog()
     return _CATALOG[rule.template]
 
 

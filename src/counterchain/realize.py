@@ -33,9 +33,12 @@ LEAK_PHRASES: tuple[str, ...] = (
     "the rule says", "according to the rule", "this step", "the conclusion",
 )
 
-_LEAK_RE = re.compile(r"\b(" + "|".join(LEAK_WORDS) + r")\b", re.IGNORECASE)
-_PHRASE_RES = tuple(re.compile(r"\b" + re.escape(p) + r"\b", re.IGNORECASE)
-                    for p in LEAK_PHRASES)
+# group 1 is any word, group 1 + i the i-th phrase; a zero-width lookahead is
+# tried at every position, so a phrase inside a longer one is found too
+_LEAK_RE = re.compile(
+    r"(?=\b(?:(" + "|".join(LEAK_WORDS) + ")|"
+    + "|".join("(" + re.escape(p) + ")" for p in LEAK_PHRASES) + r")\b)",
+    re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -348,10 +351,11 @@ class LeakViolation:
 
 
 def _scan_text(text: str) -> list[str]:
-    found = [m.group(0).lower() for m in _LEAK_RE.finditer(text)]
-    for pattern in _PHRASE_RES:
-        found.extend(m.group(0).lower() for m in pattern.finditer(text))
-    return found
+    """Word hits by position, then each phrase's, in ``LEAK_PHRASES`` order."""
+    by_group: list[list[str]] = [[] for _ in range(1 + len(LEAK_PHRASES))]
+    for m in _LEAK_RE.finditer(text):
+        by_group[m.lastindex - 1].append(m.group(m.lastindex).lower())
+    return [hit for hits in by_group for hit in hits]
 
 
 def leak_lint(nl_record: dict, k: int) -> list[LeakViolation]:

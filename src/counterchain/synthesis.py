@@ -26,6 +26,7 @@ from typing import Iterable, Optional, Sequence
 from .logic import TEMPLATES, FactId, Literal, Rule, RuleTemplate, State, TruthValue
 from .prover import (
     _CATALOG,
+    UNIVERSE_CAP,
     InferencePattern,
     Status,
     Theory,
@@ -132,6 +133,9 @@ class SynthesisConfig:
         lo, hi = self.step_count
         if not (3 <= lo <= hi <= 12):
             raise ValueError("step_count range must lie within [3, 12]")
+        if self.max_facts > UNIVERSE_CAP:
+            raise ValueError(f"max_facts {self.max_facts} exceeds the universe "
+                             f"cap {UNIVERSE_CAP}")
         if not self.template_weights:
             raise ValueError("template_weights must be non-empty")
 
@@ -559,8 +563,6 @@ def _try_build(cfg: SynthesisConfig, rng: random.Random) -> Optional[CorrectChai
                   for i, (rule, concl, supports) in enumerate(sequence))
     chain = CorrectChain(base_facts=tuple(builder.leaves), rules=tuple(builder.rules),
                          steps=steps, goal=goal)
-    if len(chain.theory().universe) > cfg.max_facts:
-        return None
     cost = min_derivation_cost(chain.rules, chain.base_facts, goal)
     if cost is None or cost < cfg.min_useful_steps:
         return None
@@ -573,7 +575,7 @@ def synthesize_chain(cfg: SynthesisConfig, seed: int) -> CorrectChain:
     for _ in range(cfg.max_attempts):
         try:
             chain = _try_build(cfg, rng)
-        except (_OutOfFacts, _Retry, RecursionError):
+        except (_OutOfFacts, _Retry):
             chain = None
         if chain is not None:
             return chain
@@ -598,7 +600,6 @@ class StepCheck:
 class ChainReport:
     valid: bool
     failures: tuple[str, ...]
-    step_checks: tuple[StepCheck, ...]
 
 
 class Prefix:
@@ -660,22 +661,20 @@ def verify_chain(chain: CorrectChain) -> ChainReport:
     try:
         theory = chain.theory()
     except Exception as exc:  # noqa: BLE001 - report, don't raise
-        return ChainReport(False, (f"theory: {exc}",), ())
+        return ChainReport(False, (f"theory: {exc}",))
 
     prefix = Prefix(theory, chain.base_facts)
     if len(prefix.state) != len(chain.base_facts):
         failures.append("base facts assign some fact twice")
     if not prefix.rows:
         failures.append("base facts are inconsistent with the rules")
-        return ChainReport(False, tuple(failures), ())
+        return ChainReport(False, tuple(failures))
 
     rule_set = set(chain.rules)
-    checks: list[StepCheck] = []
     for step in chain.steps:
         if step.rule not in rule_set:
             failures.append(f"step {step.index}: rule not in the chain's rule list")
         check = prefix.check(step)
-        checks.append(check)
         if not check.procedural:
             failures.append(f"step {step.index}: support not established")
         if not check.pattern:
@@ -697,7 +696,7 @@ def verify_chain(chain: CorrectChain) -> ChainReport:
     if not prefix.rows:
         failures.append("established facts are inconsistent with the rules")
 
-    return ChainReport(not failures, tuple(failures), tuple(checks))
+    return ChainReport(not failures, tuple(failures))
 
 
 def topological_order(steps: Sequence[Step]) -> list[int]:

@@ -252,6 +252,21 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys, line):
     assert not out.exists()
 
 
+def test_max_facts_over_the_prover_cap_is_usage_error(tmp_path, capsys):
+    # chains this config builds have universes over the 24-fact cap; the
+    # config is refused before any is built
+    config = tmp_path / "wide.cfg"
+    config.write_text("step_min = 12\nstep_max = 12\nmax_facts = 40\n"
+                      "spare_impl_rules = 8\nside_min = 3\nside_max = 3\n")
+    out = tmp_path / "c.jsonl"
+    code, stdout, stderr = _run(capsys, "synth", "--count", "200", "--seed", "3",
+                                "--config", str(config), "--out", str(out))
+    assert code == 2
+    assert "usage error" in stderr and "max_facts 40" in stderr
+    assert stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.cfg"]
+
+
 def _flip(label: str) -> str:
     return "valid" if label == "invalid" else "invalid"
 

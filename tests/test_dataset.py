@@ -191,8 +191,9 @@ def test_stats_share_identity(tmp_path):
     assert abs(sum(printed) - 1.0) < 1e-3  # rounded rendering
 
 
-def test_generation_exhaustion_raises_with_histogram():
-    from counterchain import CorpusExhausted, SynthesisConfig
+def test_generation_exhaustion_raises_with_histogram(monkeypatch):
+    from counterchain import CorpusExhausted, SynthesisConfig, dataset
+    monkeypatch.setattr(dataset, "MAX_CHAIN_ATTEMPTS", 6)
     # no spare implications and no side steps: the vacuous corruption has no
     # realizable site, so a corpus demanding it must exhaust
     starved = CorpusConfig(
@@ -201,7 +202,6 @@ def test_generation_exhaustion_raises_with_histogram():
             (e, 1.0 if e is ErrorType.VACUOUS_TRUTH_ERROR else 0.0)
             for e in ErrorType),
         synthesis=SynthesisConfig(spare_impl_rules=0, side_steps=(0, 0)),
-        max_chain_attempts=6,
     )
     with pytest.raises(CorpusExhausted) as err:
         generate_corpus(starved, "/dev/null")

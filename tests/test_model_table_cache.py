@@ -1,0 +1,58 @@
+"""``prover.model_table`` keeps one table: every walk reads one theory's table
+at a time, so memory stays at one table however many theories a process
+sees, and each chain or record costs exactly one build."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from counterchain import CorpusConfig, generate_corpus
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _python(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter, with cold caches."""
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_distinct_theories_at_the_cap_keep_memory_bounded():
+    # 300 distinct 24-fact theories, 2 MB of rows each: a cache that kept
+    # them all (or 256 of them) would peak above 500 MB
+    out = _python(
+        "import itertools, resource\n"
+        "from counterchain.logic import FactId, Rule, RuleTemplate\n"
+        "from counterchain.prover import UNIVERSE_CAP, model_table, theory_for\n"
+        "facts = [FactId(i) for i in range(UNIVERSE_CAP)]\n"
+        "for pair in itertools.islice(itertools.permutations(facts, 2), 300):\n"
+        "    model_table(theory_for([Rule(RuleTemplate.IMPL, pair)], facts))\n"
+        "print(model_table.cache_info().misses,\n"
+        "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)\n")
+    misses, peak_mb = map(int, out.split())
+    assert misses == 300
+    assert peak_mb < 150
+
+
+def test_audit_builds_one_table_per_record(tmp_path):
+    corpus = tmp_path / "c.jsonl"
+    records = 20
+    generate_corpus(CorpusConfig(total_count=records, seed=5), str(corpus))
+    commands = [["verify", str(corpus)],
+                ["eval", "--corpus", str(corpus), "--include-correct"]]
+    out = _python(
+        "import contextlib, io\n"
+        "from counterchain.cli import main\n"
+        "from counterchain.prover import model_table\n"
+        f"for argv in {commands!r}:\n"
+        "    before = model_table.cache_info().misses\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0\n"
+        "    print(model_table.cache_info().misses - before)\n")
+    assert out.split() == [str(records)] * 2

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import random
+import re
 
 import pytest
 
@@ -181,6 +183,36 @@ def test_leak_lint_catches_meta_phrases():
     record = {"erroneous_steps": [{"text": "According to the rule, all is well."}]}
     violations = leak_lint(record, k=1)
     assert violations and violations[0].word == "according to the rule"
+
+
+def _scan_reference(text: str) -> list[str]:
+    """The lint as one regex for the words and one per phrase."""
+    found = [m.group(0).lower() for m in re.finditer(
+        r"\b(" + "|".join(LEAK_WORDS) + r")\b", text, re.IGNORECASE)]
+    for phrase in LEAK_PHRASES:
+        found.extend(m.group(0).lower() for m in re.finditer(
+            r"\b" + re.escape(phrase) + r"\b", text, re.IGNORECASE))
+    return found
+
+
+def test_one_pass_scan_matches_the_per_phrase_scan():
+    # the one-pass scan relies on no entry matching where another starts
+    entries = [e.lower() for e in (*LEAK_WORDS, *LEAK_PHRASES)]
+    assert not [(a, b) for a in entries for b in entries
+                if b.startswith(a + " ")]
+    # overlapping phrases are each reported, words first
+    text = "According to the rule says this Step is an ERROR."
+    assert _scan_text(text) == _scan_reference(text) == [
+        "error", "the rule says", "according to the rule", "this step"]
+    rng = random.Random(11)
+    vocab = [*LEAK_WORDS, *" ".join(LEAK_PHRASES).split(), "errors", "xerror",
+             "rule", "steps", "the", "to", "baker", "oven"]
+    for _ in range(3000):
+        words = [rng.choice(vocab) for _ in range(rng.randint(0, 12))]
+        words = [w.upper() if rng.random() < 0.2 else w for w in words]
+        text = "".join(w + rng.choice([" ", " ", " ", ", ", "-", "_", ".", ""])
+                       for w in words)
+        assert _scan_text(text) == _scan_reference(text), text
 
 
 def test_golden_realizations_are_lint_clean():
