@@ -3,30 +3,30 @@
 Configuration lives in a flat ``key = value`` text file; command-line flags
 override file values, and the effective configuration digest is embedded in
 every output header. Exit codes: 0 success, 1 verification or lint failure,
-2 usage error, 3 generation exhaustion. Unknown configuration keys, an
-output that cannot be written and a record that ``realize`` cannot phrase (it
-names a fact outside its universe) are usage errors. Output files are written
-beside their target and moved into place only when the command succeeds, so a
-failed command leaves no partial file.
+2 usage error, 3 generation exhaustion. A usage error (``UsageError``, one
+stderr line from ``main``) is an unknown or invalid config value, an
+unreadable or malformed corpus, pools or scored file, an unwritable output,
+or a record ``realize`` cannot phrase (a fact outside its universe). Outputs
+are moved into place only when the command succeeds, so a failed command
+leaves no partial file; ``synth`` writes its corpus and stats both or neither.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import json
 import os
 import sys
-from typing import Iterator, Optional
+from typing import Iterator, Optional, TextIO
 
 from .dataset import (
     CorpusConfig,
     CorpusExhausted,
     DEFAULT_ERROR_WEIGHTS,
     SCHEMA_VERSION,
-    SchemaMismatchError,
-    MalformedRecordError,
     generate_corpus,
     read_corpus,
     serialize_instance,
@@ -49,6 +49,10 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
+
+
+class UsageError(Exception):
+    """Bad input or an unwritable output: ``main`` prints it and exits 2."""
 
 
 def parse_kv_file(path: str) -> dict[str, str]:
@@ -97,6 +101,24 @@ def _atomic_path(path: str) -> Iterator[str]:
     finally:
         if os.path.exists(scratch):
             os.unlink(scratch)
+
+
+def _read(load, path: str, what: str):
+    """``load(path)``; a loader's OSError or ValueError is a usage error."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read {what}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _writer(path: str) -> Iterator[TextIO]:
+    """A text file that replaces ``path`` only if the block completes."""
+    try:
+        with _atomic_path(path) as out, open(out, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _flags_digest(*parts) -> str:
@@ -152,79 +174,60 @@ def _synthesis_from_kv(kv: dict[str, str]) -> SynthesisConfig:
 
 
 def build_corpus_config(args) -> CorpusConfig:
-    kv = parse_kv_file(args.config) if args.config else {}
-    _check_keys(kv, args.config, _PLAIN_KEYS + _WEIGHT_KEYS + _TEMPLATE_KEYS)
-    weights = _weights_from_kv(kv)
-    if args.weights:
-        weight_kv = parse_kv_file(args.weights)
-        _check_keys(weight_kv, args.weights, _WEIGHT_KEYS)
-        weights = _weights_from_kv(weight_kv)
-    count = args.count if args.count is not None else int(kv.get("count", "100"))
-    seed = args.seed if args.seed is not None else int(kv.get("seed", "0"))
-    return CorpusConfig(
-        total_count=count,
-        seed=seed,
-        error_weights=weights,
-        synthesis=_synthesis_from_kv(kv),
-        k_first=int(kv.get("k_first", "2")),
-        k_exclude_last=_as_bool(kv.get("k_exclude_last", "true")),
-    )
-
-
-def _echo_config(cfg: CorpusConfig, workers: int) -> None:
-    print(f"# seed = {cfg.seed}")
-    print(f"# count = {cfg.total_count}")
-    print(f"# workers = {workers}")
-    print(f"# config_digest = {cfg.digest()}")
+    try:
+        kv = parse_kv_file(args.config) if args.config else {}
+        _check_keys(kv, args.config, _PLAIN_KEYS + _WEIGHT_KEYS + _TEMPLATE_KEYS)
+        weights = _weights_from_kv(kv)
+        if args.weights:
+            weight_kv = parse_kv_file(args.weights)
+            _check_keys(weight_kv, args.weights, _WEIGHT_KEYS)
+            weights = _weights_from_kv(weight_kv)
+        count = args.count if args.count is not None else int(kv.get("count", "100"))
+        seed = args.seed if args.seed is not None else int(kv.get("seed", "0"))
+        return CorpusConfig(
+            total_count=count,
+            seed=seed,
+            error_weights=weights,
+            synthesis=_synthesis_from_kv(kv),
+            k_first=int(kv.get("k_first", "2")),
+            k_exclude_last=_as_bool(kv.get("k_exclude_last", "true")),
+        )
+    except (ValueError, OSError) as exc:
+        raise UsageError(f"usage error: {exc}") from exc
 
 
 def cmd_synth(args) -> int:
+    cfg = build_corpus_config(args)
+    print(f"# seed = {cfg.seed}")
+    print(f"# count = {cfg.total_count}")
+    print(f"# workers = {args.workers}")
+    print(f"# config_digest = {cfg.digest()}")
+    stats_path = args.stats or args.out + ".stats"
     try:
-        cfg = build_corpus_config(args)
-    except (ValueError, OSError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    workers = args.workers
-    _echo_config(cfg, workers)
-    try:
+        # the corpus is moved into place only after the stats file has landed
         with _atomic_path(args.out) as out:
-            stats = generate_corpus(cfg, out, workers=workers)
+            stats = generate_corpus(cfg, out, workers=args.workers)
+            with _writer(stats_path) as fh:
+                fh.write(f"config_digest = {cfg.digest()}\n")
+                fh.write(f"schema_version = {SCHEMA_VERSION}\n")
+                fh.write(stats.to_text())
     except (CorpusExhausted, SynthesisExhausted) as exc:
         print(f"exhausted: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
     except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    stats_path = args.stats or args.out + ".stats"
-    try:
-        with _atomic_path(stats_path) as out, open(out, "w", encoding="utf-8") as fh:
-            fh.write(f"config_digest = {cfg.digest()}\n")
-            fh.write(f"schema_version = {SCHEMA_VERSION}\n")
-            fh.write(stats.to_text())
-    except OSError as exc:
-        print(f"cannot write {stats_path}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"cannot write {args.out}: {exc}") from exc
     print(f"wrote {stats.total} instances to {args.out}")
     print(f"stats in {stats_path}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        _, instances = read_corpus(args.corpus)
-    except (OSError, MalformedRecordError, SchemaMismatchError) as exc:
-        print(f"cannot read corpus: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    _, instances = _read(read_corpus, args.corpus, "corpus")
     failures = 0
     for inst in instances:
-        problems = []
-        chain_report = verify_chain(inst.correct)
-        if not chain_report.valid:
-            problems.extend(chain_report.failures)
-        error_report = verify_first_error(inst)
-        if not error_report.ok:
-            problems.extend(error_report.failures)
-        problems.extend(stored_field_mismatches(inst))
+        problems = [*verify_chain(inst.correct).failures,
+                    *verify_first_error(inst).failures,
+                    *stored_field_mismatches(inst)]
         if problems:
             failures += 1
             print(f"FAIL {inst.id}: {'; '.join(problems)}")
@@ -233,110 +236,74 @@ def cmd_verify(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    try:
-        _, instances = read_corpus(args.corpus)
-    except (OSError, MalformedRecordError, SchemaMismatchError) as exc:
-        print(f"cannot read corpus: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    _, instances = _read(read_corpus, args.corpus, "corpus")
     violations_total = 0
     lines = []
     for inst in instances:
         try:
             inst = realized(inst, nl_mode=args.nl_mode)
         except PredicateMapInvalid as exc:
-            print(f"cannot realize {inst.id}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"cannot realize {inst.id}: {exc}") from exc
         violations = leak_lint(inst.nl, inst.k)
         for v in violations:
             print(f"LEAK {inst.id} step {v.step_index}: {v.word!r}")
         violations_total += len(violations)
         lines.append(serialize_instance(inst))
-    try:
-        with _atomic_path(args.out) as out, open(out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"record": "header", "schema_version": SCHEMA_VERSION,
-                                 "realized_from": args.corpus,
-                                 "nl_mode": args.nl_mode,
-                                 "config_digest": _flags_digest("realize",
-                                                                args.nl_mode)},
-                                separators=(",", ":")) + "\n")
-            for line in lines:
-                fh.write(line + "\n")
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with _writer(args.out) as fh:
+        fh.write(json.dumps({"record": "header", "schema_version": SCHEMA_VERSION,
+                             "realized_from": args.corpus,
+                             "nl_mode": args.nl_mode,
+                             "config_digest": _flags_digest("realize", args.nl_mode)},
+                            separators=(",", ":")) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
     print(f"realized {len(instances)} instances to {args.out}; "
           f"{violations_total} lint violations")
-    if violations_total and args.nl_mode == "clean":
-        return EXIT_FAILED
-    return EXIT_OK
+    return EXIT_FAILED if violations_total and args.nl_mode == "clean" else EXIT_OK
 
 
 def cmd_eval(args) -> int:
+    if not args.corpus and not args.pools and not args.scored:
+        raise UsageError("nothing to evaluate: pass --corpus, --scored, and/or --pools")
     report_obj: dict = {
         "schema_version": 1,
         "config_digest": _flags_digest("eval", args.judge, args.threshold,
                                        args.include_correct),
     }
     if args.corpus:
+        _, instances = _read(read_corpus, args.corpus, "corpus")
         try:
-            _, instances = read_corpus(args.corpus)
             judge = make_judge(args.judge)
-        except (OSError, MalformedRecordError, SchemaMismatchError,
-                ValueError) as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        except ValueError as exc:
+            raise UsageError(f"usage error: {exc}") from exc
         report = evaluate_instances(instances, judge, threshold=args.threshold,
                                     erroneous_only=not args.include_correct)
         print(report.to_text(), end="")
         report_obj["corpus"] = report.to_dict()
         report_obj["judge"] = args.judge
     if args.scored:
-        try:
-            records = load_scored_records(args.scored)
-            scored = evaluate_scored_records(records, threshold=args.threshold)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"cannot read scored records: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        records = _read(load_scored_records, args.scored, "scored records")
+        scored = evaluate_scored_records(records, threshold=args.threshold)
         print(scored.to_text(), end="")
         report_obj["scored"] = scored.to_dict()
     if args.pools:
-        try:
-            pools = load_pools(args.pools)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"cannot read pools: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        pool_metrics = evaluate_pools(pools)
+        pool_metrics = evaluate_pools(_read(load_pools, args.pools, "pools"))
         for key in sorted(pool_metrics):
             print(f"{key} = {pool_metrics[key]:.4f}")
         report_obj["pools"] = pool_metrics
-    if not args.corpus and not args.pools and not args.scored:
-        print("nothing to evaluate: pass --corpus, --scored, and/or --pools",
-              file=sys.stderr)
-        return EXIT_USAGE
     if args.report:
-        try:
-            with _atomic_path(args.report) as out, \
-                    open(out, "w", encoding="utf-8") as fh:
-                json.dump(report_obj, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            print(f"cannot write {args.report}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        with _writer(args.report) as fh:
+            json.dump(report_obj, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
-    try:
-        _, instances = read_corpus(args.corpus)
-    except (OSError, MalformedRecordError, SchemaMismatchError) as exc:
-        print(f"cannot read corpus: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    _, instances = _read(read_corpus, args.corpus, "corpus")
     if not instances:
         print("empty corpus", file=sys.stderr)
         return EXIT_FAILED
-    counts: dict[str, int] = {}
-    for inst in instances:
-        counts[inst.error_type.value] = counts.get(inst.error_type.value, 0) + 1
+    counts = collections.Counter(inst.error_type.value for inst in instances)
     total = len(instances)
     width = max(len(n) for n in counts)
     print(f"{'Error Type'.ljust(width)}  Count  Share")
@@ -400,7 +367,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

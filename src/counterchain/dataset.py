@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import struct
 from concurrent.futures import ProcessPoolExecutor
@@ -131,6 +132,13 @@ def _parsed(parse, value, field: str):
     return parse(value)
 
 
+def _integer(value, field: str, line_number: Optional[int]) -> int:
+    """``value`` if it is a JSON integer (``true``, ``7.0``, ``"7"`` are not)."""
+    if type(value) is not int:
+        raise MalformedRecordError(f"{field} {value!r} is not an integer", line_number)
+    return value
+
+
 def _step_from_obj(obj: dict, index: int, chain: str) -> Step:
     return Step(
         index=index,
@@ -215,8 +223,10 @@ def deserialize_instance(line: str, line_number: Optional[int] = None) -> Instan
                               for i, s in enumerate(obj["correct_steps"]))
         erroneous_steps = tuple(_step_from_obj(s, i + 1, "erroneous_steps")
                                 for i, s in enumerate(obj["erroneous_steps"]))
-        if not erroneous_steps:
-            raise MalformedRecordError("erroneous_steps is empty", line_number)
+        for name, steps in (("correct_steps", correct_steps),
+                            ("erroneous_steps", erroneous_steps)):
+            if not steps:
+                raise MalformedRecordError(f"{name} is empty", line_number)
         correct = CorrectChain(base, rules, correct_steps, goal)
         error_type = ErrorType(obj["error_type"])
         stored_group = obj.get("error_group")
@@ -226,7 +236,8 @@ def deserialize_instance(line: str, line_number: Optional[int] = None) -> Instan
                 f"{error_type.value!r}", line_number)
         erroneous = ErroneousChain(
             steps=erroneous_steps,
-            first_error_index=int(obj["first_error_index"]),
+            first_error_index=_integer(obj["first_error_index"],
+                                       "first_error_index", line_number),
             error_type=error_type,
         )
         context = obj.get("context")
@@ -236,7 +247,8 @@ def deserialize_instance(line: str, line_number: Optional[int] = None) -> Instan
         stored = {k: obj[k] for k in _DERIVED_KEYS if obj.get(k) is not None}
         return Instance(
             id=obj["id"], goal=goal, base_facts=base, rules=rules,
-            correct=correct, erroneous=erroneous, seed=int(obj.get("seed", 0)),
+            correct=correct, erroneous=erroneous,
+            seed=_integer(obj.get("seed", 0), "seed", line_number),
             context=profile, nl=obj.get("nl"), extras=extras, stored=stored,
         )
     except (KeyError, ValueError, TypeError) as exc:
@@ -268,6 +280,8 @@ def _parse_header(line: str, line_number: int) -> Optional[dict]:
     version = obj.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaMismatchError(f"schema_version {version!r} unsupported")
+    if obj.get("total_count") is not None:
+        _integer(obj["total_count"], "header total_count", line_number)
     return obj
 
 
@@ -319,8 +333,12 @@ class CorpusConfig:
         if missing:
             raise ValueError(f"error_weights must cover all types; missing "
                              f"{sorted(t.value for t in missing)}")
-        if any(w < 0 for _, w in self.error_weights):
-            raise ValueError("error weights must be non-negative")
+        weights = [w for _, w in self.error_weights]
+        if not (all(0 <= w < math.inf for w in weights) and sum(weights) > 0):
+            raise ValueError("error weights must be finite and non-negative, "
+                             "with a positive sum")
+        if self.k_first < 1:
+            raise ValueError(f"k_first {self.k_first} must be at least 1")
 
     def digest(self) -> str:
         payload = repr((self.total_count, self.seed, self.error_weights,
@@ -372,8 +390,6 @@ def type_quotas(total: int, weights: Iterable[tuple[ErrorType, float]],
     """Largest-remainder allocation of ``total`` over the weight table."""
     weights = list(weights)
     mass = sum(w for _, w in weights)
-    if mass <= 0:
-        raise ValueError("error weights sum to zero")
     raw = [(e, total * w / mass) for e, w in weights]
     quotas = {e: int(x) for e, x in raw}
     short = total - sum(quotas.values())

@@ -157,9 +157,8 @@ def all_step_macro(predicted_labels: Sequence[Sequence[bool]],
     """Mean of per-trajectory step accuracies."""
     if not gold_labels:
         return 0.0
-    per = []
-    for pred, gold in zip(predicted_labels, gold_labels):
-        per.append(sum(p == g for p, g in zip(pred, gold)) / len(gold))
+    per = [sum(p == g for p, g in zip(pred, gold)) / len(gold)
+           for pred, gold in zip(predicted_labels, gold_labels)]
     return sum(per) / len(per)
 
 
@@ -203,10 +202,8 @@ def _judge_scores(judge, context: JudgeContext, steps: Sequence[Step]) -> list[f
     scorer = getattr(judge, "score_trajectory", None)
     if scorer is not None:
         return [float(s) for s in scorer(context, steps)]
-    out = []
-    for i in range(len(steps)):
-        out.append(float(judge.score_step(context, steps[:i], steps[i])))
-    return out
+    return [float(judge.score_step(context, steps[:i], steps[i]))
+            for i in range(len(steps))]
 
 
 def _report(scored: Sequence[tuple[list[float], Optional[int], list[bool], str]],
@@ -272,31 +269,47 @@ def make_judge(spec: str) -> object:
 
 def evaluate_scored_records(records: Sequence[dict],
                             threshold: float = 0.5) -> EvalReport:
-    """Metrics over externally scored trajectories: line objects carrying
-    ``step_scores``, gold ``labels`` (valid/invalid), and an optional
-    ``first_error_index`` (absent or null for clean trajectories)."""
-    scored = []
-    for record in records:
-        scores = [float(s) for s in record["step_scores"]]
-        gold_row = [label == "valid" for label in record["labels"]]
-        if len(scores) != len(gold_row):
-            raise ValueError("step_scores and labels disagree in length")
-        gold_k = record.get("first_error_index")
-        scored.append((scores, int(gold_k) if gold_k is not None else None,
-                       gold_row, ""))
+    """Metrics over externally scored trajectories, records of the shape
+    ``load_scored_records`` checks: ``step_scores``, gold ``labels``
+    (valid/invalid) and an integer ``first_error_index``, null if clean."""
+    scored = [([float(s) for s in record["step_scores"]],
+               record.get("first_error_index"),
+               [label == "valid" for label in record["labels"]], "")
+              for record in records]
     return _report(scored, len(records), threshold)
 
 
+def _check_scored(obj, where: str) -> None:
+    """Raises ValueError unless ``evaluate_scored_records`` can score ``obj``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"not a record object{where}")
+    scores, labels = obj.get("step_scores"), obj.get("labels")
+    try:
+        numbers = isinstance(scores, list) and bool([float(s) for s in scores])
+    except (TypeError, ValueError, OverflowError):
+        numbers = False
+    if not numbers:
+        raise ValueError(f"step_scores must be a non-empty list of numbers{where}")
+    if not isinstance(labels, list) or len(labels) != len(scores):
+        raise ValueError(f"step_scores and labels disagree in length{where}")
+    gold_k = obj.get("first_error_index")
+    if gold_k is not None and type(gold_k) is not int:
+        raise ValueError(f"first_error_index {gold_k!r} is not an integer{where}")
+
+
 def load_scored_records(path: str) -> list[dict]:
+    """Scored-trajectory records, one JSON object per line; a header record
+    is skipped. Raises ValueError on any record of another shape."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             obj = json.loads(line)
-            if obj.get("record") == "header":
+            if isinstance(obj, dict) and obj.get("record") == "header":
                 continue
+            _check_scored(obj, f" (line {number})")
             records.append(obj)
     return records
 
@@ -344,14 +357,8 @@ def bestofk_select(pool: CandidatePool) -> int:
 
 def majority_at_k(pool: CandidatePool) -> str:
     """Most frequent answer; the answer reaching the top count first wins ties."""
-    counts: dict[str, int] = {}
-    for candidate in pool.candidates:
-        counts[candidate.answer] = counts.get(candidate.answer, 0) + 1
-    top = max(counts.values())
-    for candidate in pool.candidates:
-        if counts[candidate.answer] == top:
-            return candidate.answer
-    raise AssertionError("unreachable")
+    answers = [candidate.answer for candidate in pool.candidates]
+    return max(answers, key=answers.count)
 
 
 def oracle_at_k(pool: CandidatePool) -> int:
@@ -360,15 +367,19 @@ def oracle_at_k(pool: CandidatePool) -> int:
 
 
 def pools_from_obj(obj: dict) -> list[CandidatePool]:
-    pools = []
-    for problem in obj["problems"]:
-        candidates = tuple(
+    """Candidate pools from ``{"problems": [{"candidates": [...]}, ...]}``;
+    raises ValueError on any other shape."""
+    try:
+        pools = [CandidatePool(tuple(
             Candidate(step_scores=tuple(float(s) for s in cand["step_scores"]),
                       answer=str(cand.get("answer", "")),
                       correct=bool(cand.get("correct", False)))
-            for cand in problem["candidates"]
-        )
-        pools.append(CandidatePool(candidates))
+            for cand in problem["candidates"]))
+            for problem in obj["problems"]]
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed pools: {exc}") from exc
+    if not pools:
+        raise ValueError("no candidate pools")
     return pools
 
 

@@ -415,7 +415,7 @@ def verify_first_error(inst: Instance) -> InstanceReport:
         return InstanceReport(False, (f"k={k} out of range",))
 
     for t in range(k - 1):
-        if not err.steps[t].content_equals(chain.steps[t]):
+        if t >= len(chain.steps) or not err.steps[t].content_equals(chain.steps[t]):
             failures.append(f"prefix differs from the correct chain at step {t + 1}")
 
     prefix = Prefix(theory, chain.base_facts)

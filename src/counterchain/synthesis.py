@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -136,13 +137,17 @@ class SynthesisConfig:
         if self.max_facts > UNIVERSE_CAP:
             raise ValueError(f"max_facts {self.max_facts} exceeds the universe "
                              f"cap {UNIVERSE_CAP}")
-        if not self.template_weights:
-            raise ValueError("template_weights must be non-empty")
+        weights = [w for _, w in self.template_weights]
+        if not (all(map(math.isfinite, weights)) and any(w > 0 for w in weights)):
+            raise ValueError("template weights must be finite, and some positive")
+        if self.side_steps[0] > self.side_steps[1]:
+            raise ValueError(f"side_steps {self.side_steps}: minimum exceeds maximum")
 
     @functools.cached_property
     def shape_pools(self) -> dict[bool, tuple[tuple[InferencePattern, ...], list[float]]]:
         """Per concluded value: the goal-expansion shapes whose template has
-        positive weight, in catalog order, and their cumulative weights."""
+        positive weight, in catalog order, and their cumulative weights. Every
+        template concludes both values, so neither pool is empty."""
         weights = dict(self.template_weights)
         pools = {}
         for value, shapes in ((True, _SHAPES_TRUE), (False, _SHAPES_FALSE)):
@@ -234,8 +239,6 @@ class _Builder:
 
     def pick_shape(self, value: bool) -> InferencePattern:
         pool, cum_weights = self.cfg.shape_pools[value]
-        if not pool:
-            raise ValueError("no template with positive weight fits the subgoal")
         return self.rng.choices(pool, cum_weights=cum_weights, k=1)[0]
 
     def _bind_passive(self, shape: InferencePattern, goal: Literal,
@@ -585,7 +588,6 @@ def synthesize_chain(cfg: SynthesisConfig, seed: int) -> CorrectChain:
 
 @dataclass(frozen=True)
 class StepCheck:
-    index: int
     semantic: bool
     procedural: bool
     pattern: bool
@@ -644,7 +646,7 @@ class Prefix:
         semantic = all(state.holds(lit) or (lit.fact in table.slots and
                                             table.decide(rows, lit).status is Status.ENTAILED)
                        for lit in (*step.supports, step.conclusion))
-        return StepCheck(step.index, semantic, procedural, pattern, fresh)
+        return StepCheck(semantic, procedural, pattern, fresh)
 
     def replay(self, steps: Sequence[Step]) -> int:
         """Extend by each step's conclusion while the step checks ``ok``;

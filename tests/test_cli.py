@@ -3,13 +3,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from counterchain import CorpusConfig, generate_corpus
+from counterchain import CorpusConfig, ErrorType, RuleTemplate, generate_corpus
 from counterchain.cli import main, parse_kv_file
 from counterchain.logic import PARSE_CACHE_SIZE
 
@@ -476,3 +477,183 @@ def test_read_side_output_bytes_pinned(tmp_path, capsys, monkeypatch):
         "report.json":
             "98e4dc82fb49e87ca1edb6365bda13787c3c577f82858287ef8e15e235a1aac2",
     }
+
+
+@pytest.fixture(scope="module")
+def two_records(tmp_path_factory):
+    """Header and records of a 2-record corpus, as JSON text."""
+    path = tmp_path_factory.mktemp("two") / "c.jsonl"
+    generate_corpus(CorpusConfig(total_count=2, seed=1), str(path))
+    return path.read_text()
+
+
+def _objects(text: str) -> tuple[dict, list[dict]]:
+    header, *records = [json.loads(line) for line in text.splitlines()]
+    return header, records
+
+
+def _synth(config: str, flag: str = "--config"):
+    def build(d, header, records):
+        (d / "run.cfg").write_text(config)
+        return ["synth", "--count", "2", "--seed", "1", flag, str(d / "run.cfg"),
+                "--out", str(d / "out" / "c.jsonl")]
+    return build
+
+
+def _eval_input(flag: str, text: str):
+    def build(d, header, records):
+        (d / "input").write_text(text)
+        return ["eval", flag, str(d / "input"), "--report", str(d / "out" / "r.json")]
+    return build
+
+
+def _corpus(command: str, tamper=None):
+    """``command`` on the 2-record corpus after ``tamper(header, records)``;
+    a tamper that returns bytes replaces the whole file."""
+    def build(d, header, records):
+        path = d / "c.jsonl"
+        raw = tamper(header, records) if tamper else None
+        if isinstance(raw, bytes):
+            path.write_bytes(raw)
+        else:
+            _rewrite(path, header, records)
+        return {
+            "verify": ["verify", str(path)],
+            "stats": ["stats", str(path)],
+            "realize": ["realize", str(path), "--out", str(d / "out" / "r.jsonl")],
+            "eval": ["eval", "--corpus", str(path), "--include-correct",
+                     "--report", str(d / "out" / "r.json")],
+        }[command]
+    return build
+
+
+def _not_utf8(header, records):
+    return b"\xff\xfe\n"
+
+
+def _short_correct_chain(header, records):
+    record = next(r for r in records if len(r["erroneous_steps"]) >= 7)
+    record["correct_steps"] = record["correct_steps"][:3]
+    record["first_error_index"] = 7
+
+
+def _set(field, value, which="record"):
+    def tamper(header, records):
+        (header if which == "header" else records[0])[field] = value
+    return tamper
+
+
+def _as_text(field):
+    def tamper(header, records):
+        records[0][field] = str(records[0][field])
+    return tamper
+
+
+def _one_record_counted_true(header, records):
+    # true == 1, so only a type check tells this header from a valid one
+    del records[1:]
+    header["total_count"] = True
+
+
+_ALL_TEMPLATES_ZERO = "".join(f"template_weight.{t.value} = 0\n" for t in RuleTemplate)
+_ERROR_TYPES = tuple(e.value for e in ErrorType)
+
+# case -> (argv builder, exit code, stderr prefix or, for exit 1, a FAIL line part)
+_BAD_INPUTS = {
+    **{f"not-utf8-{c}": (_corpus(c, _not_utf8), 2, "cannot read corpus: 'utf-8' codec")
+       for c in ("verify", "stats", "realize", "eval")},
+    "template-weights-all-zero": (_synth(_ALL_TEMPLATES_ZERO), 2, "usage error: "),
+    "weights-all-zero-config": (
+        _synth("".join(f"weight.{e} = 0\n" for e in _ERROR_TYPES)), 2, "usage error: "),
+    "weights-all-zero-file": (
+        _synth("".join(f"{e} = 0\n" for e in _ERROR_TYPES), "--weights"), 2,
+        "usage error: "),
+    "weight-nan": (_synth("weight.xor_as_or = nan\n"), 2, "usage error: "),
+    "weight-inf": (_synth("xor_as_or = inf\n", "--weights"), 2, "usage error: "),
+    "side-min-over-side-max": (_synth("side_min = 5\nside_max = 1\n"), 2,
+                               "usage error: "),
+    "k-first-zero": (_synth("k_first = 0\n"), 2, "usage error: "),
+    "pools-list": (_eval_input("--pools", "[1, 2]"), 2, "cannot read pools: "),
+    "pools-problems-int": (_eval_input("--pools", '{"problems": 5}'), 2,
+                           "cannot read pools: "),
+    "scored-list": (_eval_input("--scored", "[1]\n"), 2, "cannot read scored records: "),
+    "scored-string": (_eval_input("--scored", '"str"\n'), 2,
+                      "cannot read scored records: "),
+    "scored-no-steps": (_eval_input("--scored", '{"step_scores": [], "labels": []}\n'),
+                        2, "cannot read scored records: "),
+    "scored-index-text": (_eval_input(
+        "--scored", '{"step_scores": [0.5], "labels": ["valid"], '
+                    '"first_error_index": "x"}\n'), 2, "cannot read scored records: "),
+    "correct-chain-shorter-than-k": (_corpus("verify", _short_correct_chain), 1,
+                                     "prefix differs from the correct chain at step 4"),
+    "correct-steps-empty": (_corpus("eval", _set("correct_steps", [])), 2,
+                            "cannot read corpus: "),
+    "error-index-float": (_corpus("verify", _set("first_error_index", 2.5)), 2,
+                          "cannot read corpus: "),
+    "error-index-text": (_corpus("verify", _as_text("first_error_index")), 2,
+                         "cannot read corpus: "),
+    "error-index-padded": (_corpus("verify", _set("first_error_index", " 3 ")), 2,
+                           "cannot read corpus: "),
+    "seed-text": (_corpus("verify", _as_text("seed")), 2, "cannot read corpus: "),
+    "total-count-float": (_corpus("verify", _set("total_count", 2.0, "header")), 2,
+                          "cannot read corpus: "),
+    "total-count-bool": (_corpus("verify", _one_record_counted_true), 2,
+                         "cannot read corpus: "),
+    "stats-unwritable": (lambda d, header, records: [
+        "synth", "--count", "2", "--seed", "1", "--out", str(d / "out" / "c.jsonl"),
+        "--stats", str(d / "missing" / "x")], 2, "cannot write "),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_INPUTS))
+def test_bad_input_fails_closed(tmp_path, capsys, two_records, case):
+    """Each input exits 2 with one stderr line and writes no output file, or,
+    for a record ``verify`` can judge, is a per-record FAIL with exit 1."""
+    build, expected, text = _BAD_INPUTS[case]
+    (tmp_path / "out").mkdir()
+    code, stdout, stderr = _run(capsys, *build(tmp_path, *_objects(two_records)))
+    assert code == expected
+    assert "Traceback" not in stderr
+    if expected == 2:
+        assert stderr.startswith(text) and stderr.count("\n") == 1, stderr
+    else:
+        fails = [l for l in stdout.splitlines() if l.startswith("FAIL")]
+        assert len(fails) == 1 and text in fails[0]
+    assert not list((tmp_path / "out").iterdir())
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+_MUTANTS = (None, 0, -1, 1.5, True, "", "x", [], [None], {}, "[F99]=True", 10 ** 9)
+
+
+def _paths(obj, prefix=()):
+    """Every field of ``obj``, nested ones included, as a key path."""
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def test_mutated_corpus_never_raises(tmp_path, capsys, two_records):
+    """Replacing any one stored field with a value of another shape leaves
+    every read command with exit 0, 1 or 2 and no exception."""
+    rng = random.Random(1990)
+    lines = _objects(two_records)
+    paths = list(_paths([lines[0], *lines[1]]))
+    corpus = tmp_path / "c.jsonl"
+    commands = (["verify", str(corpus)], ["stats", str(corpus)],
+                ["realize", str(corpus), "--out", str(tmp_path / "r.jsonl")],
+                ["eval", "--corpus", str(corpus), "--include-correct"])
+    for _ in range(300):
+        objects = json.loads(json.dumps([lines[0], *lines[1]]))
+        *parents, last = rng.choice(paths)
+        target = objects
+        for key in parents:
+            target = target[key]
+        target[last] = rng.choice(_MUTANTS)
+        _rewrite(corpus, objects[0], objects[1:])
+        for argv in commands:
+            code, _, stderr = _run(capsys, *argv)
+            assert code in (0, 1, 2), (argv, parents, last)
+            assert "Traceback" not in stderr
