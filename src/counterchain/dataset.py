@@ -212,7 +212,7 @@ def deserialize_instance(line: str, line_number: Optional[int] = None) -> Instan
     if not isinstance(obj, dict) or obj.get("record") != "instance":
         raise MalformedRecordError("not an instance record", line_number)
     version = obj.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaMismatchError(
             f"schema_version {version!r} unsupported (expected {SCHEMA_VERSION})")
     try:
@@ -278,7 +278,7 @@ def _parse_header(line: str, line_number: int) -> Optional[dict]:
     if not isinstance(obj, dict) or obj.get("record") != "header":
         return None
     version = obj.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaMismatchError(f"schema_version {version!r} unsupported")
     if obj.get("total_count") is not None:
         _integer(obj["total_count"], "header total_count", line_number)

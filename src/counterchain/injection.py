@@ -3,9 +3,10 @@
 Eleven error types in two families. Truth-state types keep the chain shape
 and replace step k's conclusion (or a cited support value) with the type's
 canonical wrong output; they are verified by prefix non-derivability of the
-corrupted conclusion. Structural types mutate the trajectory shape (direction
-misuse, duplicate work, missing bridge facts, cyclic support) and may remain
-locally truth-compatible, so each carries its own predicate.
+corrupted conclusion, whose supports must be established facts of its rule.
+Structural types mutate the trajectory shape (direction misuse, duplicate
+work, missing bridge facts, cyclic support) and may remain locally
+truth-compatible, so each carries its own predicate.
 
 After the corruption, every later step is re-derived by applying its rule's
 licensed patterns to the explicit corrupted state, never by global entailment:
@@ -401,11 +402,34 @@ def _structural_predicate(inst: Instance, established: set[Literal]) -> Optional
     return "no dependency cycle"
 
 
+def _truth_state_problems(step: Step, prefix: Prefix) -> list[str]:
+    """A truth-state corruption keeps a sound step's supports, established
+    facts of its rule other than the concluded one, and concludes what the
+    prefix does not entail."""
+    problems = []
+    if not step.supports:
+        problems.append("corrupted step cites no support")
+    elif not prefix.established.issuperset(step.supports):
+        problems.append("corrupted step cites a support not established")
+    elif not step.support_facts() <= set(step.rule.facts()) - {step.conclusion.fact}:
+        problems.append("corrupted step cites a support outside its rule")
+    if step.conclusion.fact not in prefix.table.slots:
+        problems.append("corrupted conclusion is outside the theory's universe")
+    else:
+        verdict = prefix.table.decide(prefix.rows, step.conclusion)
+        if verdict.status is Status.ENTAILED:
+            problems.append("still-derivable")
+        elif verdict.status is Status.INCONSISTENT:
+            problems.append("prefix state inconsistent with the theory")
+    return problems
+
+
 def verify_first_error(inst: Instance) -> InstanceReport:
     """Accept an instance only if the corruption is exactly where and what it
-    claims: identical prefix, valid prefix steps, non-derivable corrupted
-    conclusion (truth-state) or the matching structural defect, and a
-    continuation that stays pattern-coherent under the corrupted state."""
+    claims: identical prefix, valid prefix steps, established rule supports
+    and a non-derivable conclusion (truth-state) or the matching structural
+    defect, and a continuation that stays pattern-coherent under the
+    corrupted state."""
     failures: list[str] = []
     chain, err = inst.correct, inst.erroneous
     k = inst.k
@@ -428,14 +452,8 @@ def verify_first_error(inst: Instance) -> InstanceReport:
             problem = _structural_predicate(inst, prefix.established)
             if problem is not None:
                 failures.append(f"structural predicate failed: {problem}")
-        elif corrupted.conclusion.fact not in prefix.table.slots:
-            failures.append("corrupted conclusion is outside the theory's universe")
         else:
-            verdict = prefix.table.decide(prefix.rows, corrupted.conclusion)
-            if verdict.status is Status.ENTAILED:
-                failures.append("still-derivable")
-            elif verdict.status is Status.INCONSISTENT:
-                failures.append("prefix state inconsistent with the theory")
+            failures.extend(_truth_state_problems(corrupted, prefix))
 
         # continuation: pattern application over the explicit corrupted state
         cf_state = prefix.state

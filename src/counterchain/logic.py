@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 
 class ExprSyntaxError(ValueError):
@@ -52,21 +53,32 @@ class TruthValue(enum.Enum):
         return self is TruthValue.TRUE
 
 
-@dataclass(frozen=True, order=True)
-class FactId:
-    index: int
+class FactId(int):
+    """A fact by its index, printed ``[F3]``. An ``int``, so hashing,
+    equality and order run in C; the order is the index order."""
 
-    def __post_init__(self):
-        if self.index < 0:
+    __slots__ = ()
+
+    def __new__(cls, index: int) -> "FactId":
+        index = operator.index(index)
+        if index < 0:
             raise ValueError("fact index must be non-negative")
+        return super().__new__(cls, index)
+
+    @property
+    def index(self) -> int:
+        return int(self)
 
     def __str__(self) -> str:
-        return f"[F{self.index}]"
+        return f"[F{int(self)}]"
+
+    def __repr__(self) -> str:
+        return f"FactId(index={int(self)})"
 
 
-@dataclass(frozen=True)
-class Literal:
-    """A fact with a definite polarity; Unknown is never a literal value."""
+class Literal(NamedTuple):
+    """A fact with a definite polarity; Unknown is never a literal value.
+    A ``(fact, value)`` tuple, so hashing, equality and field access run in C."""
 
     fact: FactId
     value: bool

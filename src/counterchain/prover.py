@@ -281,11 +281,15 @@ def match_pattern(rule: Rule, supports: Iterable[Literal],
     the match requires every premise to be present and the derived literal to
     equal the conclusion.
     """
-    supports = set(supports)
-    for pattern in licensed_patterns(rule):
-        if pattern.bind_derived(rule) != conclusion:
+    slots = rule.slots
+    fact, value = conclusion
+    known = set(supports)
+    for pattern in _CATALOG[rule.template]:
+        slot, derived = pattern.derived
+        if slots[slot] != fact or derived != value:
             continue
-        if all(p in supports for p in pattern.bind_premises(rule)):
+        # a Literal is a (fact, value) tuple, so a plain tuple finds it
+        if all((slots[i], v) in known for i, v in pattern.premises):
             return pattern
     return None
 

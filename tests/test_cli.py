@@ -549,6 +549,21 @@ def _as_text(field):
     return tamper
 
 
+def _corrupted_supports(supports):
+    """Replace the supports of the corrupted step of the ``xor_as_or`` record,
+    a truth-state type, by ``supports(record, step)``."""
+    def tamper(header, records):
+        record = next(r for r in records if r["error_type"] == "xor_as_or")
+        step = record["erroneous_steps"][record["first_error_index"] - 1]
+        step["supports"] = supports(record, step)
+    return tamper
+
+
+def _established_off_rule(record, step):
+    """A base fact that the corrupted step's rule does not mention."""
+    return [next(l for l in record["base_facts"] if l.split("=")[0] not in step["rule"])]
+
+
 def _one_record_counted_true(header, records):
     # true == 1, so only a type check tells this header from a valid one
     del records[1:]
@@ -599,6 +614,18 @@ _BAD_INPUTS = {
                           "cannot read corpus: "),
     "total-count-bool": (_corpus("verify", _one_record_counted_true), 2,
                          "cannot read corpus: "),
+    "corrupted-supports-empty": (_corpus("verify", _corrupted_supports(lambda r, s: [])),
+                                 1, "corrupted step cites no support"),
+    "corrupted-support-stray": (
+        _corpus("verify", _corrupted_supports(lambda r, s: ["[F99]=True"])), 1,
+        "corrupted step cites a support not established"),
+    "corrupted-support-off-rule": (
+        _corpus("verify", _corrupted_supports(_established_off_rule)), 1,
+        "corrupted step cites a support outside its rule"),
+    "schema-version-true-header": (_corpus("verify", _set("schema_version", True, "header")),
+                                   2, "cannot read corpus: schema_version True"),
+    "schema-version-true-record": (_corpus("verify", _set("schema_version", True)), 2,
+                                   "cannot read corpus: "),
     "stats-unwritable": (lambda d, header, records: [
         "synth", "--count", "2", "--seed", "1", "--out", str(d / "out" / "c.jsonl"),
         "--stats", str(d / "missing" / "x")], 2, "cannot write "),

@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -163,13 +167,16 @@ def test_generate_corpus_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("cfg, digest", [
+PINNED_CORPORA = [
     (CorpusConfig(total_count=60, seed=7),
      "ca602e436d327aa3286499b021a2feb367f793bb8d5cb474624a76ec1672ddf1"),
     (CorpusConfig(total_count=20, seed=7,
                   synthesis=SynthesisConfig(step_count=(10, 12), max_facts=20)),
      "646b77a7acbf54e97b5022e7e7a88f076d2ef53746d6223816bf7fda861af330"),
-], ids=["default", "wide"])
+]
+
+
+@pytest.mark.parametrize("cfg, digest", PINNED_CORPORA, ids=["default", "wide"])
 def test_generate_corpus_bytes_pinned(tmp_path, cfg, digest):
     """A corpus is a pure function of (config, seed), so a refactor must keep
     these bytes. A change that alters the corpus on purpose updates the
@@ -177,6 +184,31 @@ def test_generate_corpus_bytes_pinned(tmp_path, cfg, digest):
     out = tmp_path / "pinned.jsonl"
     generate_corpus(cfg, str(out))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+_PINNED_SCRIPT = """
+import hashlib, sys
+from counterchain import generate_corpus
+from tests.test_dataset import PINNED_CORPORA
+for i, (cfg, _) in enumerate(PINNED_CORPORA):
+    out = f"{sys.argv[1]}/{i}.jsonl"
+    generate_corpus(cfg, out)
+    print(hashlib.sha256(open(out, "rb").read()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_pinned_corpora_do_not_depend_on_the_hash_seed(tmp_path, hash_seed):
+    """String hashes, and so the iteration order of sets keyed by them, follow
+    PYTHONHASHSEED; no corpus byte may."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
+    result = subprocess.run([sys.executable, "-c", _PINNED_SCRIPT, str(tmp_path)],
+                            env=env, cwd=root, capture_output=True, text=True,
+                            timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == [digest for _, digest in PINNED_CORPORA]
 
 
 def test_stats_share_identity(tmp_path):
