@@ -38,7 +38,7 @@ from .injection import (
 )
 from .logic import parse_literal, parse_rule, render_rule
 from .realize import ContextProfile
-from .synthesis import CorrectChain, Step, SynthesisConfig, synthesize_chain
+from .synthesis import CorrectChain, Step, SynthesisConfig, synthesize_chain, verify_chain
 
 SCHEMA_VERSION = 1
 
@@ -413,7 +413,8 @@ def type_schedule(cfg: CorpusConfig) -> list[ErrorType]:
 
 def build_instance(cfg: CorpusConfig, index: int,
                    target: ErrorType) -> tuple[Instance, dict[str, int]]:
-    """Rejection-sample chains and injection sites until ``target`` verifies."""
+    """Rejection-sample chains and injection sites until ``target`` verifies.
+    The chain of an accepted instance is proved here, once, by ``verify_chain``."""
     seed = derive_seed(cfg.seed, index)
     rng = random.Random(seed)
     reasons: dict[str, int] = {}
@@ -453,9 +454,14 @@ def build_instance(cfg: CorpusConfig, index: int,
                 correct=chain, erroneous=err, seed=seed,
             )
             report = verify_first_error(inst)
-            if report.ok:
+            if not report.ok:
+                note(report.reason().split(":")[0])
+                continue
+            # an invalid chain is a generator/verifier disagreement: drop it
+            if verify_chain(chain).valid:
                 return inst, reasons
-            note(report.reason().split(":")[0])
+            note("chain-invalid")
+            break
     raise CorpusExhausted(
         f"index {index}: could not realize {target.value} after "
         f"{MAX_CHAIN_ATTEMPTS} chains", reasons)

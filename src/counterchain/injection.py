@@ -60,6 +60,8 @@ class ErrorType(enum.Enum):
     MISSING_PREREQUISITE = "missing_prerequisite"
     CIRCULAR_REFERENCE = "circular_reference"
 
+    __hash__ = object.__hash__  # identity hash in C, as for ``RuleTemplate``
+
     @property
     def group(self) -> ErrorGroup:
         if self in (ErrorType.CONVERSE_ERROR, ErrorType.REDUNDANT_STEP,
@@ -243,8 +245,9 @@ def applicable_errors(chain: CorrectChain, k: int) -> frozenset[ErrorType]:
 
 
 def inject(chain: CorrectChain, k: int, e: ErrorType, seed: int) -> ErroneousChain:
-    """Corrupt step k of a verified chain with error type ``e`` and rebuild
-    the continuation under the corrupted state."""
+    """Corrupt step k of a synthesized chain with error type ``e`` and
+    rebuild the continuation under the corrupted state. ``build_instance``
+    proves the chain with ``verify_chain`` before it stores the instance."""
     site = _site(chain, k)
     if e not in site.types:
         raise InjectionInfeasible(f"{e.value} does not apply at step {k}")

@@ -141,6 +141,9 @@ class RuleTemplate(enum.Enum):
     XOR_ANTE = "xor_ante"    # (A xor B) -> C
     XOR_BARE = "xor_bare"    # A xor B
 
+    # members are singletons, so identity is equality: hash in C, not by name
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class Implication:

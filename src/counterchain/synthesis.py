@@ -11,7 +11,9 @@ its step runs. On top of the goal tree the generator weaves in:
   * rules whose unused slot is bound to the conclusion of the step that will
     consume this step's own conclusion (sites for cyclic rewiring).
 
-Every synthesized chain passes ``verify_chain`` before being returned.
+Synthesis itself proves nothing: ``dataset.build_instance`` runs
+``verify_chain`` once, on the chain it stores, so no prover work goes to the
+candidates that are drawn and then discarded.
 """
 
 from __future__ import annotations
@@ -569,11 +571,13 @@ def _try_build(cfg: SynthesisConfig, rng: random.Random) -> Optional[CorrectChai
     cost = min_derivation_cost(chain.rules, chain.base_facts, goal)
     if cost is None or cost < cfg.min_useful_steps:
         return None
-    return chain if verify_chain(chain).valid else None
+    return chain
 
 
 def synthesize_chain(cfg: SynthesisConfig, seed: int) -> CorrectChain:
-    """Deterministic in (cfg, seed); rejection-samples until every invariant holds."""
+    """Deterministic in (cfg, seed); rejection-samples until the step budget,
+    the side steps and the derivation cost all fit. The chain is not proved
+    here: ``dataset.build_instance`` proves the chain it stores."""
     rng = random.Random(seed)
     for _ in range(cfg.max_attempts):
         try:

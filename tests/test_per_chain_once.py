@@ -263,3 +263,37 @@ def test_build_instance_does_each_per_chain_computation_once(monkeypatch):
     assert all(isinstance(c, CorrectChain) for c in theories)
     assert len({id(c) for c in theories}) == len(theories)
     assert inst.correct is drawn[-1]
+
+
+def test_build_instance_proves_only_the_stored_chain(monkeypatch):
+    proved = []
+    prove = dataset.verify_chain
+
+    def spy(chain):
+        proved.append(chain)
+        return prove(chain)
+
+    # a proof anywhere in synthesis would show up here too
+    monkeypatch.setattr(dataset, "verify_chain", spy)
+    monkeypatch.setattr(synthesis, "verify_chain", spy)
+    inst, reasons = build_instance(CorpusConfig(total_count=40, seed=5), 4,
+                                   ErrorType.IMPLICATION_MISUSE)
+    assert sum(reasons.values()) > 0, reasons
+    assert [id(c) for c in proved] == [id(inst.correct)]
+
+
+def test_a_chain_that_fails_its_proof_is_dropped_and_counted(monkeypatch):
+    proved = []
+    prove = dataset.verify_chain
+
+    def first_fails(chain):
+        proved.append(chain)
+        if len(proved) == 1:
+            return synthesis.ChainReport(False, ("forced failure",))
+        return prove(chain)
+
+    monkeypatch.setattr(dataset, "verify_chain", first_fails)
+    inst, reasons = build_instance(CorpusConfig(total_count=40, seed=5), 4,
+                                   ErrorType.IMPLICATION_MISUSE)
+    assert reasons["chain-invalid"] == 1
+    assert len(proved) == 2 and inst.correct is proved[1] is not proved[0]
