@@ -355,16 +355,12 @@ def _side_step(builder: _Builder, state: State,
     if trues and falses:
         feasible |= {"or_cons_fwd", "and_ante_bwd", "xor_ante_fwd"}
 
+    # a weighted draw without replacement, one flavour at a time, up to the
+    # first that builds
     pool = [(f, w) for f, w in _SIDE_FLAVORS if f in feasible]
-    order = []
-    remaining = list(pool)
-    while remaining:
-        weights = [w for _, w in remaining]
-        pick = rng.choices(range(len(remaining)), weights=weights, k=1)[0]
-        order.append(remaining.pop(pick)[0])
-
-    for flavor in order:
-        made = _make_side(builder, flavor, trues, falses, known,
+    while pool:
+        pick = rng.choices(range(len(pool)), weights=[w for _, w in pool], k=1)[0]
+        made = _make_side(builder, pool.pop(pick)[0], trues, falses, known,
                           retired_t or trues, retired_f or falses)
         if made is not None:
             return made
@@ -508,6 +504,24 @@ def min_derivation_cost(rules: Iterable[Rule], base: Iterable[Literal],
     return None
 
 
+def _splice_side_steps(nodes: Sequence[_Node], count: int,
+                       rng: random.Random) -> Optional[list[Optional[_Node]]]:
+    """The backbone in post-order with ``count`` side steps (``None``) spliced
+    in, never in the first two positions; None at the first draw that puts a
+    side step last, where the chain could not end on the goal.
+
+    Inserting at the end is the only draw that moves the root from last place
+    and no later draw moves it back, so rejecting there keeps the law of the
+    kept layouts and skips building the side steps of a doomed attempt."""
+    tokens: list[Optional[_Node]] = list(nodes)
+    for _ in range(count):
+        at = rng.randint(2, len(tokens))
+        if at == len(tokens):
+            return None
+        tokens.insert(at, None)
+    return tokens
+
+
 def _try_build(cfg: SynthesisConfig, rng: random.Random) -> Optional[CorrectChain]:
     total = rng.randint(*cfg.step_count)
     planned_side = min(rng.randint(*cfg.side_steps),
@@ -523,12 +537,9 @@ def _try_build(cfg: SynthesisConfig, rng: random.Random) -> Optional[CorrectChai
 
     nodes: list[_Node] = []
     _emit(root, rng, nodes)
-
-    # schedule: backbone in post-order with side steps spliced in (never in
-    # the first two positions)
-    tokens: list[Optional[_Node]] = list(nodes)
-    for _ in range(total - spent):
-        tokens.insert(rng.randint(2, len(tokens)), None)
+    tokens = _splice_side_steps(nodes, total - spent, rng)
+    if tokens is None:
+        return None
 
     sequence: list[tuple[Rule, Literal, tuple[Literal, ...]]] = []
     state = State({l.fact: l.value for l in builder.leaves})
@@ -548,9 +559,6 @@ def _try_build(cfg: SynthesisConfig, rng: random.Random) -> Optional[CorrectChai
         sequence.append((rule, concl, supports))
         state = state.with_literal(concl)
 
-    if len(sequence) != total:
-        return None
-
     _plant_spare_impls(builder, state, cfg.spare_impl_rules)
     if cfg.distractor_rules:
         trues = [f for f in sorted(state.facts()) if state.value_of(f) is TruthValue.TRUE]
@@ -560,10 +568,6 @@ def _try_build(cfg: SynthesisConfig, rng: random.Random) -> Optional[CorrectChai
                 builder.add_rule(Rule(
                     RuleTemplate.IMPL, (rng.choice(falses), rng.choice(trues))))
 
-    # no RNG draw follows, so rejecting here spares the prover work below
-    # without changing what later attempts draw
-    if sequence[-1][1] != goal:
-        return None
     steps = tuple(Step(i + 1, supports, rule, concl)
                   for i, (rule, concl, supports) in enumerate(sequence))
     chain = CorrectChain(base_facts=tuple(builder.leaves), rules=tuple(builder.rules),

@@ -473,7 +473,7 @@ def test_read_side_output_bytes_pinned(tmp_path, capsys, monkeypatch):
                for name in ("realized.jsonl", "report.json")}
     assert digests == {
         "realized.jsonl":
-            "04c8182198290c7fd09906614d3d64c0ff8b930015c11d3828a6e49fcdd6d644",
+            "290b1e160ce38f3ef2967aeefd99b3b6482a55e4e13b8611115028b51d28b996",
         "report.json":
             "98e4dc82fb49e87ca1edb6365bda13787c3c577f82858287ef8e15e235a1aac2",
     }

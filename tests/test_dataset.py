@@ -169,10 +169,10 @@ def test_generate_corpus_deterministic(tmp_path):
 
 PINNED_CORPORA = [
     (CorpusConfig(total_count=60, seed=7),
-     "ca602e436d327aa3286499b021a2feb367f793bb8d5cb474624a76ec1672ddf1"),
+     "cb353b2d9e9ad439b7bd6e566b765fde1a2f0fd5ecc603ca63e7a55a6f998ea7"),
     (CorpusConfig(total_count=20, seed=7,
                   synthesis=SynthesisConfig(step_count=(10, 12), max_facts=20)),
-     "646b77a7acbf54e97b5022e7e7a88f076d2ef53746d6223816bf7fda861af330"),
+     "6480e64aa2150c02b3a083eda28a6538e2a3dedd37f1444a1df4f1799592a630"),
 ]
 
 

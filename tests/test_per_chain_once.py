@@ -251,7 +251,7 @@ def test_build_instance_does_each_per_chain_computation_once(monkeypatch):
     monkeypatch.setattr(injection, "_index_sites", spy_index_sites)
     monkeypatch.setattr(synthesis, "theory_for", spy_theory_for)
     cfg = CorpusConfig(total_count=40, seed=5)
-    inst, reasons = build_instance(cfg, 4, ErrorType.IMPLICATION_MISUSE)
+    inst, reasons = build_instance(cfg, 9, ErrorType.IMPLICATION_MISUSE)
 
     # several chains, some with no site and some with failed injections
     assert reasons["no-applicable-site"] >= 1 and reasons["downstream-stuck"] >= 2, reasons
@@ -276,7 +276,7 @@ def test_build_instance_proves_only_the_stored_chain(monkeypatch):
     # a proof anywhere in synthesis would show up here too
     monkeypatch.setattr(dataset, "verify_chain", spy)
     monkeypatch.setattr(synthesis, "verify_chain", spy)
-    inst, reasons = build_instance(CorpusConfig(total_count=40, seed=5), 4,
+    inst, reasons = build_instance(CorpusConfig(total_count=40, seed=5), 9,
                                    ErrorType.IMPLICATION_MISUSE)
     assert sum(reasons.values()) > 0, reasons
     assert [id(c) for c in proved] == [id(inst.correct)]
@@ -293,7 +293,7 @@ def test_a_chain_that_fails_its_proof_is_dropped_and_counted(monkeypatch):
         return prove(chain)
 
     monkeypatch.setattr(dataset, "verify_chain", first_fails)
-    inst, reasons = build_instance(CorpusConfig(total_count=40, seed=5), 4,
+    inst, reasons = build_instance(CorpusConfig(total_count=40, seed=5), 9,
                                    ErrorType.IMPLICATION_MISUSE)
     assert reasons["chain-invalid"] == 1
     assert len(proved) == 2 and inst.correct is proved[1] is not proved[0]

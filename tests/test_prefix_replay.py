@@ -119,7 +119,7 @@ def test_carried_rows_equal_rows_restricted_from_scratch(cases, monkeypatch):
 # sha256 of the canonical JSON of ``_walk_all`` over every case, in order; it
 # was recorded with the rows restricted from scratch at every prefix step, so
 # it pins the verdicts across changes to how the walks obtain their rows
-VERDICTS_SHA256 = "7344416344c1f89172f6bbf35d6ad7be5f9b6b117eada67342c62e0458529e0e"
+VERDICTS_SHA256 = "081169030b1389659ab8dfc9f1118c7029d427e3b73ffd9176ea4b4106858bad"
 
 
 def test_walk_verdicts_pinned(cases):
