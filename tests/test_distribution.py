@@ -3,8 +3,9 @@
 A change that alters corpus bytes on purpose (a different RNG schedule, a
 rejection moved earlier) must keep the law of the corpus. This test builds a
 default corpus at a fixed seed and checks each summary statistic below against
-a band of mean +- 3 sd, measured over 20 other seeds (101-120) of the same size
-with the generator as it was before any such change:
+a band of mean +- 3 sd over 20 other seeds (101-120) of the same size. The
+bands were measured before synthesis rejected an attempt at its dooming draw;
+a change to the generator holds them as they are:
 
 * ``template.<t>``: share of correct-chain steps applying template t;
 * ``k.<group>.<k>``: per error group, share of its instances with first-error
