@@ -21,7 +21,6 @@ import json
 import math
 import random
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -518,6 +517,9 @@ def generate_instances(cfg: CorpusConfig, workers: int = 1,
         for task in tasks:
             yield _worker_build(task)
         return
+    # imported here: it pulls in multiprocessing, socket and pickle, which no
+    # single-process command needs
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(cfg,)) as pool:
         chunk = max(1, cfg.total_count // (workers * 8))

@@ -416,7 +416,7 @@ def _truth_state_problems(step: Step, prefix: Prefix) -> list[str]:
         problems.append("corrupted step cites a support not established")
     elif not step.support_facts() <= set(step.rule.facts()) - {step.conclusion.fact}:
         problems.append("corrupted step cites a support outside its rule")
-    if step.conclusion.fact not in prefix.table.slots:
+    if step.conclusion.fact not in prefix.table.columns:
         problems.append("corrupted conclusion is outside the theory's universe")
     else:
         verdict = prefix.table.decide(prefix.rows, step.conclusion)

@@ -1,15 +1,19 @@
 """Entailment over small fact universes, plus the licensed inference patterns.
 
 The backend is a truth table held in one Python int per theory: bit ``a`` is
-set iff assignment ``a`` (bit ``i`` of ``a`` is the value of the ``i``-th
-universe fact) satisfies every rule. A fact's column is the periodic mask of
-the assignments where it is true, so each rule, each restriction and each
-query is a few bitwise operations over the whole table (the "bitwise tricks"
-of Knuth, TAOCP 4A section 7.1.3). Universes are small by construction (cap
-24, a 2 MB table; default chains stay well under), which keeps the prover
-trivially auditable. ``propagate`` is a unit-propagation fast path over the
-pattern catalog; it is sound but not complete, and the test suite cross-checks
-it against enumeration.
+set iff assignment ``a`` satisfies every rule. A table is built under a set of
+fixed literals, the facts a walk already knows (its base facts), and spans only
+the universe facts they leave free: bit ``i`` of ``a`` is the value of the
+``i``-th free fact. A free fact's column is the periodic mask of the
+assignments where it is true and a fixed fact's column is the constant
+all-ones or ``0``, so each rule, each restriction and each query is a few
+bitwise operations over the whole table (the "bitwise tricks" of Knuth, TAOCP
+4A section 7.1.3), and fixing a fact halves the table (unit assignment, as in
+Davis, Logemann and Loveland, CACM 1962). Universes are small by construction
+(cap 24, a 2 MB table with nothing fixed; default chains stay well under),
+which keeps the prover trivially auditable. ``propagate`` is a
+unit-propagation fast path over the pattern catalog; it is sound but not
+complete, and the test suite cross-checks it against enumeration.
 """
 
 from __future__ import annotations
@@ -81,7 +85,6 @@ class EntailmentResult:
         return self.status is Status.ENTAILED
 
 
-@functools.lru_cache(maxsize=None)
 def _column(n: int, i: int) -> int:
     """Fact slot ``i``'s column in an n-fact table: bit ``a`` set iff ``a`` has bit ``i``."""
     if n < 3:
@@ -92,6 +95,14 @@ def _column(n: int, i: int) -> int:
         half = 1 << (i - 3)
         pattern = b"\x00" * half + b"\xff" * half
     return int.from_bytes(pattern * ((1 << (n - 3)) // len(pattern)), "little")
+
+
+# one size: free counts vary from table to table, and only the current
+# table's columns are read, so older sizes are not kept
+@functools.lru_cache(maxsize=1)
+def _columns(n: int) -> tuple[int, ...]:
+    """The n slot columns of an n-fact table."""
+    return tuple(_column(n, i) for i in range(n))
 
 
 # The assignments satisfying each template, as a function of the all-ones
@@ -108,14 +119,30 @@ _TEMPLATE_ROWS = {
 
 
 class ModelTable:
-    """All satisfying full assignments of a theory, one bit per assignment."""
+    """The satisfying assignments of a theory under fixed literals, one bit per
+    assignment of the free facts.
 
-    def __init__(self, theory: Theory):
+    ``fixed`` assigns at most one value per fact, all in the theory's universe.
+    ``slots`` numbers the free facts in universe order; ``columns`` maps every
+    universe fact to its column, a fixed fact's being the constant all-ones
+    (true) or ``0`` (false), so ``restrict`` and ``decide`` treat both alike.
+    Free assignments keep the index order of the full ones, so ``decide``'s
+    witness is the one the full table restricted to ``fixed`` gives.
+    """
+
+    def __init__(self, theory: Theory, fixed: Iterable[Literal] = ()):
         self.theory = theory
-        n = len(theory.universe)
-        self.slots = {f: i for i, f in enumerate(theory.universe)}
-        self.columns = cols = {f: _column(n, i) for f, i in self.slots.items()}
+        self.fixed = dict(fixed)
+        stray = [f for f in self.fixed if f not in theory.universe]
+        if stray:
+            raise ValueError(f"fixed facts outside universe: {stray}")
+        free = [f for f in theory.universe if f not in self.fixed]
+        n = len(free)
+        self.slots = {f: i for i, f in enumerate(free)}
         full = (1 << (1 << n)) - 1
+        self.columns = cols = dict(zip(free, _columns(n)))
+        for f, v in self.fixed.items():
+            cols[f] = full if v else 0
         rows = full
         for rule in theory.rules:
             rows &= _TEMPLATE_ROWS[rule.template](full, *map(cols.__getitem__, rule.slots))
@@ -141,30 +168,30 @@ class ModelTable:
             return EntailmentResult(Status.ENTAILED)
         # the lowest disagreeing assignment, so the witness is deterministic
         counter = (against & -against).bit_length() - 1
-        assignment = {f: bool((counter >> i) & 1) for f, i in self.slots.items()}
+        slots, fixed = self.slots, self.fixed
+        assignment = {f: fixed[f] if f in fixed else bool(counter >> slots[f] & 1)
+                      for f in self.theory.universe}
         return EntailmentResult(Status.NOT_ENTAILED, witness=State(assignment))
 
 
-# one entry: each walk reads one theory's table, and no walk reads an older one
+# one entry: each walk reads one table, built under the state it starts from,
+# and no walk reads an older one
 @functools.lru_cache(maxsize=1)
-def model_table(theory: Theory) -> ModelTable:
-    return ModelTable(theory)
+def model_table(theory: Theory, fixed: tuple[Literal, ...] = ()) -> ModelTable:
+    """The table of ``theory`` under ``fixed``, the literals of a ``State``."""
+    return ModelTable(theory, fixed)
 
 
 def count_models(theory: Theory, s: State) -> int:
     """Number of full assignments extending ``s`` that satisfy every rule."""
-    universe = set(theory.universe)
-    stray = [f for f in s.facts() if f not in universe]
-    if stray:
-        raise ValueError(f"state mentions facts outside universe: {stray}")
-    return model_table(theory).restrict_state(s).bit_count()
+    return model_table(theory, s.literals()).rows.bit_count()
 
 
 def entails(theory: Theory, s: State, q: Literal) -> EntailmentResult:
     """Entailed iff every model of (theory, s) assigns ``q``; a countermodel is
     returned when some model disagrees; Inconsistent when no model exists."""
-    table = model_table(theory)
-    return table.decide(table.restrict_state(s), q)
+    table = model_table(theory, s.literals())
+    return table.decide(table.rows, q)
 
 
 class Direction(enum.Enum):

@@ -441,8 +441,9 @@ def _make_side(builder: _Builder, flavor: str, trues: list[FactId],
         y = builder.fresh_fact(True)
         rule, concl = Rule(RuleTemplate.XOR_ANTE, (x, b, y)), Literal(y, True)
 
-    if not builder.add_rule(rule):
-        return None
+    # every side rule holds the fresh fact y, so its fact set is new and
+    # add_rule accepts it
+    builder.add_rule(rule)
     return rule, concl
 
 
@@ -615,17 +616,19 @@ class ChainReport:
 class Prefix:
     """A theory's model table replayed over a growing prefix.
 
-    ``state`` and ``established`` start from ``literals`` and ``rows`` is the
-    table restricted to ``state``. ``extend`` is the only code that grows the
-    prefix, and it narrows ``rows`` with ``table.restrict``, so ``rows``
-    always equals ``table.restrict_state(state)`` (restriction is an AND).
+    ``state`` and ``established`` start from ``literals``. The table is built
+    with ``state`` fixed, so it spans only the facts the start leaves free,
+    and ``rows`` starts as all of its rows. ``extend`` is the only code that
+    grows the prefix, and it narrows ``rows`` with ``table.restrict``, so
+    ``rows`` always equals ``table.restrict_state(state)`` (restriction is an
+    AND, and a fixed fact's column is constant).
     """
 
     def __init__(self, theory: Theory, literals: Iterable[Literal]):
         literals = tuple(literals)
-        self.table = model_table(theory)
         self.state = State({l.fact: l.value for l in literals})
-        self.rows = self.table.restrict_state(self.state)
+        self.table = model_table(theory, self.state.literals())
+        self.rows = self.table.rows
         self.established = set(literals)
 
     def extend(self, lit: Literal) -> None:
@@ -651,7 +654,7 @@ class Prefix:
                    and step.conclusion.fact not in step.support_facts())
         pattern = in_rule and match_pattern(step.rule, step.supports, step.conclusion) is not None
         fresh = state.value_of(step.conclusion.fact) is TruthValue.UNKNOWN
-        semantic = all(state.holds(lit) or (lit.fact in table.slots and
+        semantic = all(state.holds(lit) or (lit.fact in table.columns and
                                             table.decide(rows, lit).status is Status.ENTAILED)
                        for lit in (*step.supports, step.conclusion))
         return StepCheck(semantic, procedural, pattern, fresh)

@@ -408,6 +408,21 @@ def test_cli_imports_without_numpy():
     assert result.returncode == 0, result.stderr
 
 
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only ``synth --workers N`` with N > 1 starts a pool; every other command
+    # should not pay for importing one
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, counterchain.cli\n"
+         "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')"
+         " if m in sys.modules))"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["[]"]
+
+
 def _rewrite(path, header, records) -> None:
     path.write_text("".join(json.dumps(o, separators=(",", ":")) + "\n"
                             for o in (header, *records)))

@@ -1,6 +1,7 @@
 """``prover.model_table`` keeps one table: every walk reads one theory's table
 at a time, so memory stays at one table however many theories a process
-sees, and each chain or record costs exactly one build."""
+sees, and each chain or record costs exactly one build. The slot columns are
+kept for one table size at a time, however many sizes a process sees."""
 
 from __future__ import annotations
 
@@ -38,6 +39,28 @@ def test_distinct_theories_at_the_cap_keep_memory_bounded():
     misses, peak_mb = map(int, out.split())
     assert misses == 300
     assert peak_mb < 150
+
+
+def test_tables_of_many_sizes_keep_one_size_of_columns():
+    # cap-size tables with 0..5 facts fixed have 24..19 free facts. One
+    # table with nothing fixed peaks at about 83 MB (48 MB of it columns),
+    # and the switch to 23 free facts at 104 MB while both sizes are alive.
+    # Columns kept for every size seen would add the 12 + 6 + 3 + 1.5 MB of
+    # the smaller ones and peak at 118 MB.
+    out = _python(
+        "import resource\n"
+        "from counterchain.logic import FactId, Literal, Rule, RuleTemplate\n"
+        "from counterchain.prover import UNIVERSE_CAP, model_table, theory_for\n"
+        "facts = [FactId(i) for i in range(UNIVERSE_CAP)]\n"
+        "theory = theory_for([Rule(RuleTemplate.IMPL, tuple(facts[:2]))], facts)\n"
+        "for k in range(6):\n"
+        "    fixed = tuple(Literal(f, True) for f in facts[UNIVERSE_CAP - k:])\n"
+        "    assert len(model_table(theory, fixed).slots) == UNIVERSE_CAP - k\n"
+        "print(model_table.cache_info().misses,\n"
+        "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)\n")
+    misses, peak_mb = map(int, out.split())
+    assert misses == 6
+    assert peak_mb < 112
 
 
 def test_audit_builds_one_table_per_record(tmp_path):

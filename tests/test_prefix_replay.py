@@ -1,11 +1,13 @@
 """Prefix replay: the three prefix walks (``verify_chain``, the prefix loop of
 ``verify_first_error`` and ``OracleJudge.score_trajectory``) look the model
-table up once and narrow its rows step by step. The carried rows must equal
-the rows restricted from scratch at every position, and the verdicts the walks
-return must not depend on how the rows were obtained."""
+table up once, built with the state they start from fixed, and narrow its rows
+step by step. The carried rows must equal the rows restricted from scratch at
+every position, each decision must match the full table's, and the verdicts
+the walks return must not depend on how the rows were obtained."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import replace
@@ -22,7 +24,7 @@ from counterchain import (
 )
 from counterchain import synthesis
 from counterchain.dataset import deserialize_instance, generate_instances
-from counterchain.prover import model_table
+from counterchain.prover import ModelTable
 
 from . import fixtures
 
@@ -93,15 +95,29 @@ def cases():
 
 
 def test_carried_rows_equal_rows_restricted_from_scratch(cases, monkeypatch):
-    mismatches, calls = [], {}
+    mismatches, disagreements, calls = [], [], {}
     real = synthesis.Prefix.check
     walk_name = None
+    # the full table over the whole universe, one theory at a time; built
+    # outside ``model_table`` so the walks' own cache sees no extra keys
+    full_table = functools.lru_cache(maxsize=1)(ModelTable)
 
     def spy(prefix, step):
         calls[walk_name] = calls.get(walk_name, 0) + 1
-        # the reference: the full table restricted by the whole prefix state
-        if prefix.rows != model_table(prefix.table.theory).restrict_state(prefix.state):
+        theory = prefix.table.theory
+        # the reference: the prefix's own table, rebuilt from scratch under
+        # the literals it fixes, restricted by the whole prefix state
+        fixed = tuple(prefix.table.fixed.items())
+        if prefix.rows != ModelTable(theory, fixed).restrict_state(prefix.state):
             mismatches.append((walk_name, step.index))
+        # folding the fixed literals into the table changes no decision: the
+        # full table restricted by the same state gives the same status and
+        # the same witness
+        if step.conclusion.fact in theory.universe:
+            full = full_table(theory)
+            expected = full.decide(full.restrict_state(prefix.state), step.conclusion)
+            if prefix.table.decide(prefix.rows, step.conclusion) != expected:
+                disagreements.append((walk_name, step.index))
         return real(prefix, step)
 
     monkeypatch.setattr(synthesis.Prefix, "check", spy)
@@ -114,6 +130,7 @@ def test_carried_rows_equal_rows_restricted_from_scratch(cases, monkeypatch):
     assert sorted(calls) == sorted(_WALKS)
     assert min(calls.values()) > len(cases)
     assert mismatches == []
+    assert disagreements == []
 
 
 # sha256 of the canonical JSON of ``_walk_all`` over every case, in order; it

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from counterchain import (
     FactId,
@@ -263,3 +265,51 @@ def test_countermodel_witness_properties():
         for rule in theory.rules:
             assert rule_satisfied(rule, assignment)     # satisfies the theory
     assert seen >= 50
+
+
+@st.composite
+def _folding_cases(draw):
+    """A theory of at most 8 facts, some of them fixed, literals that extend
+    the fixed ones (on any universe fact, so some contradict them), and a
+    query. Fact ids are sparse, so slot numbers differ from fact ids."""
+    facts = sorted(draw(st.sets(st.integers(0, 30), min_size=1, max_size=8)))
+    rules = []
+    for template in draw(st.lists(st.sampled_from(list(RuleTemplate)), max_size=5)):
+        arity = TEMPLATES[template][0]
+        if arity <= len(facts):
+            picked = draw(st.permutations(facts))[:arity]
+            rules.append(Rule(template, tuple(F(f) for f in picked)))
+    theory = theory_for(rules, [F(f) for f in facts])
+    literal = st.builds(Literal, st.sampled_from(theory.universe), st.booleans())
+    fixed = State(draw(st.dictionaries(st.sampled_from(theory.universe), st.booleans())))
+    extension = draw(st.lists(literal, max_size=4))
+    return theory, fixed, extension, draw(literal)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_folding_cases())
+def test_folded_table_decides_as_the_full_table(case):
+    theory, fixed, extension, query = case
+    folded = ModelTable(theory, fixed.literals())
+    full = ModelTable(theory)
+    assert set(folded.slots) == set(theory.universe) - fixed.facts()
+    assert folded.rows.bit_length() <= 1 << len(folded.slots)
+    # the same literals restrict both: the fixed ones first on the full table
+    folded_rows, full_rows = folded.rows, full.restrict_state(fixed)
+    for lit in extension:
+        folded_rows = folded.restrict(folded_rows, lit)
+        full_rows = full.restrict(full_rows, lit)
+    assert folded_rows.bit_count() == full_rows.bit_count()
+    verdict = folded.decide(folded_rows, query)
+    assert verdict == full.decide(full_rows, query)
+    if verdict.status is Status.NOT_ENTAILED:
+        # the witness is the lowest countermodel, bit i of its index being
+        # the value of the i-th universe fact
+        literals = [*fixed.literals(), *extension]
+        for index in range(1 << len(theory.universe)):
+            assignment = {f: bool(index >> i & 1) for i, f in enumerate(theory.universe)}
+            if (assignment[query.fact] != query.value
+                    and all(assignment[f] == v for f, v in literals)
+                    and all(rule_satisfied(rule, assignment) for rule in theory.rules)):
+                break
+        assert verdict.witness == State(assignment)
