@@ -9,6 +9,13 @@ unreadable or malformed corpus, pools or scored file, an unwritable output,
 or a record ``realize`` cannot phrase (a fact outside its universe). Outputs
 are moved into place only when the command succeeds, so a failed command
 leaves no partial file; ``synth`` writes its corpus and stats both or neither.
+
+``verify``, ``realize``, ``eval --corpus`` and ``stats`` read the corpus one
+record at a time (``dataset.stream_corpus``) and hold no more than the record
+in hand and their running counts, so their memory does not grow with the
+file. Each prints a record's ``FAIL`` or ``LEAK`` lines when it reaches the
+record, so the first fault in file order ends the command, and stdout may
+already hold the lines of the records before it.
 """
 
 from __future__ import annotations
@@ -28,9 +35,9 @@ from .dataset import (
     DEFAULT_ERROR_WEIGHTS,
     SCHEMA_VERSION,
     generate_corpus,
-    read_corpus,
     serialize_instance,
     stored_field_mismatches,
+    stream_corpus,
 )
 from .evaluation import (
     evaluate_instances,
@@ -40,7 +47,7 @@ from .evaluation import (
     load_scored_records,
     make_judge,
 )
-from .injection import ErrorType, verify_first_error
+from .injection import ErrorType, Instance, verify_first_error
 from .logic import RuleTemplate
 from .realize import PredicateMapInvalid, leak_lint, realized
 from .synthesis import SynthesisConfig, SynthesisExhausted, verify_chain
@@ -103,12 +110,22 @@ def _atomic_path(path: str) -> Iterator[str]:
             os.unlink(scratch)
 
 
-def _read(load, path: str, what: str):
-    """``load(path)``; a loader's OSError or ValueError is a usage error."""
+@contextlib.contextmanager
+def _reading(what: str) -> Iterator[None]:
+    """An OSError or ValueError raised by a read in the block is a usage
+    error, ``cannot read <what>: ...``."""
     try:
-        return load(path)
+        yield
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read {what}: {exc}") from exc
+
+
+def _corpus(path: str) -> Iterator[Instance]:
+    """The corpus's instances, read one at a time. A read error, at the
+    header or at any record, surfaces as the usage error of ``_reading``
+    when the iteration reaches it; the caller's own errors pass untouched."""
+    with _reading("corpus"):
+        yield from stream_corpus(path)[1]
 
 
 @contextlib.contextmanager
@@ -222,42 +239,39 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _, instances = _read(read_corpus, args.corpus, "corpus")
-    failures = 0
-    for inst in instances:
+    count = failures = 0
+    for inst in _corpus(args.corpus):
+        count += 1
         problems = [*verify_chain(inst.correct).failures,
                     *verify_first_error(inst).failures,
                     *stored_field_mismatches(inst)]
         if problems:
             failures += 1
             print(f"FAIL {inst.id}: {'; '.join(problems)}")
-    print(f"verified {len(instances)} instances, {failures} failures")
+    print(f"verified {count} instances, {failures} failures")
     return EXIT_FAILED if failures else EXIT_OK
 
 
 def cmd_realize(args) -> int:
-    _, instances = _read(read_corpus, args.corpus, "corpus")
-    violations_total = 0
-    lines = []
-    for inst in instances:
-        try:
-            inst = realized(inst, nl_mode=args.nl_mode)
-        except PredicateMapInvalid as exc:
-            raise UsageError(f"cannot realize {inst.id}: {exc}") from exc
-        violations = leak_lint(inst.nl, inst.k)
-        for v in violations:
-            print(f"LEAK {inst.id} step {v.step_index}: {v.word!r}")
-        violations_total += len(violations)
-        lines.append(serialize_instance(inst))
+    count = violations_total = 0
     with _writer(args.out) as fh:
         fh.write(json.dumps({"record": "header", "schema_version": SCHEMA_VERSION,
                              "realized_from": args.corpus,
                              "nl_mode": args.nl_mode,
                              "config_digest": _flags_digest("realize", args.nl_mode)},
                             separators=(",", ":")) + "\n")
-        for line in lines:
-            fh.write(line + "\n")
-    print(f"realized {len(instances)} instances to {args.out}; "
+        for inst in _corpus(args.corpus):
+            try:
+                inst = realized(inst, nl_mode=args.nl_mode)
+            except PredicateMapInvalid as exc:
+                raise UsageError(f"cannot realize {inst.id}: {exc}") from exc
+            violations = leak_lint(inst.nl, inst.k)
+            for v in violations:
+                print(f"LEAK {inst.id} step {v.step_index}: {v.word!r}")
+            violations_total += len(violations)
+            fh.write(serialize_instance(inst) + "\n")
+            count += 1
+    print(f"realized {count} instances to {args.out}; "
           f"{violations_total} lint violations")
     return EXIT_FAILED if violations_total and args.nl_mode == "clean" else EXIT_OK
 
@@ -271,23 +285,26 @@ def cmd_eval(args) -> int:
                                        args.include_correct),
     }
     if args.corpus:
-        _, instances = _read(read_corpus, args.corpus, "corpus")
         try:
             judge = make_judge(args.judge)
         except ValueError as exc:
             raise UsageError(f"usage error: {exc}") from exc
-        report = evaluate_instances(instances, judge, threshold=args.threshold,
+        report = evaluate_instances(_corpus(args.corpus), judge,
+                                    threshold=args.threshold,
                                     erroneous_only=not args.include_correct)
         print(report.to_text(), end="")
         report_obj["corpus"] = report.to_dict()
         report_obj["judge"] = args.judge
     if args.scored:
-        records = _read(load_scored_records, args.scored, "scored records")
+        with _reading("scored records"):
+            records = load_scored_records(args.scored)
         scored = evaluate_scored_records(records, threshold=args.threshold)
         print(scored.to_text(), end="")
         report_obj["scored"] = scored.to_dict()
     if args.pools:
-        pool_metrics = evaluate_pools(_read(load_pools, args.pools, "pools"))
+        with _reading("pools"):
+            pools = load_pools(args.pools)
+        pool_metrics = evaluate_pools(pools)
         for key in sorted(pool_metrics):
             print(f"{key} = {pool_metrics[key]:.4f}")
         report_obj["pools"] = pool_metrics
@@ -299,12 +316,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    _, instances = _read(read_corpus, args.corpus, "corpus")
-    if not instances:
+    counts = collections.Counter(inst.error_type.value
+                                 for inst in _corpus(args.corpus))
+    total = sum(counts.values())
+    if not total:
         print("empty corpus", file=sys.stderr)
         return EXIT_FAILED
-    counts = collections.Counter(inst.error_type.value for inst in instances)
-    total = len(instances)
     width = max(len(n) for n in counts)
     print(f"{'Error Type'.ljust(width)}  Count  Share")
     for name in sorted(counts, key=lambda n: -counts[n]):

@@ -4,7 +4,9 @@ A corpus file is one JSON object per line: a header record carrying the
 schema version, seed, and effective-config digest, then one instance record
 per line. Rules, facts, and steps are stored as canonical text so records
 stay human-auditable. Unknown fields on an instance record survive a
-round-trip verbatim.
+round-trip verbatim. ``stream_corpus`` reads a file one record at a time, so
+a reader's memory does not grow with the file; ``read_corpus`` collects the
+same records into a list.
 
 Corpus generation hits the configured error-type mix exactly: the weight
 table is converted into per-type quotas by largest remainder, shuffled into a
@@ -284,15 +286,24 @@ def _parse_header(line: str, line_number: int) -> Optional[dict]:
     return obj
 
 
-def read_corpus(path: str) -> tuple[Optional[dict], list[Instance]]:
-    """Returns (header, instances); raises with a line number on bad records.
+def stream_corpus(path: str) -> tuple[Optional[dict], Iterator[Instance]]:
+    """Returns (header, instances): the header is read now, each instance
+    record only when the iterator reaches it, so a reader holds one record
+    at a time.
 
-    Only the first non-blank line may be a header. When the header states a
-    ``total_count``, the number of instance records must match it.
+    Only the first non-blank line may be a header. The iterator raises on a
+    bad record with its line number, and, when the header states a
+    ``total_count``, after the last record if their number differs from it.
     """
+    records = _records(path)
+    return next(records), records
+
+
+def _records(path: str) -> Iterator:
+    """The header (None if the file has none), then each instance."""
     header: Optional[dict] = None
-    instances: list[Instance] = []
     first = True
+    count = 0
     with open(path, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, start=1):
             line = line.strip()
@@ -301,14 +312,25 @@ def read_corpus(path: str) -> tuple[Optional[dict], list[Instance]]:
             if first:
                 first = False
                 header = _parse_header(line, number)
+                yield header
                 if header is not None:
                     continue
-            instances.append(deserialize_instance(line, number))
+            yield deserialize_instance(line, number)
+            count += 1
+    if first:  # no non-blank line, so no header either
+        yield header
     expected = header.get("total_count") if header else None
-    if expected is not None and expected != len(instances):
+    if expected is not None and expected != count:
         raise MalformedRecordError(f"header total_count {expected!r} but "
-                                   f"{len(instances)} instance records")
-    return header, instances
+                                   f"{count} instance records")
+
+
+def read_corpus(path: str) -> tuple[Optional[dict], list[Instance]]:
+    """Returns (header, instances), every record of the file parsed into one
+    list; ``stream_corpus`` with the same checks, for a caller that needs them
+    all at once."""
+    header, instances = stream_corpus(path)
+    return header, list(instances)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Callable, Iterable, Optional, Protocol, Sequence
 
 from .dataset import label_steps
 from .injection import Instance
@@ -206,45 +206,82 @@ def _judge_scores(judge, context: JudgeContext, steps: Sequence[Step]) -> list[f
             for i in range(len(steps))]
 
 
-def _report(scored: Sequence[tuple[list[float], Optional[int], list[bool], str]],
-            n_instances: int, threshold: float,
-            erroneous_only: bool = True) -> EvalReport:
-    """Metrics over scored trajectories, each given as (step scores, gold
-    first-error position, gold validity row, error type); trajectories with
-    an empty error type are left out of the per-type rows."""
-    predictions = [predict_first_error(scores, threshold) for scores, *_ in scored]
-    gold_positions = [gold_k for _, gold_k, *_ in scored]
-    predicted_labels = [[s >= threshold for s in scores] for scores, *_ in scored]
-    gold_label_rows = [gold_row for *_, gold_row, _ in scored]
-    report = EvalReport(
-        first_error_acc=first_error_accuracy(predictions, gold_positions),
-        all_step_acc=all_step_accuracy(predicted_labels, gold_label_rows),
-        all_step_macro=all_step_macro(predicted_labels, gold_label_rows),
-        n_instances=n_instances,
-        threshold=threshold,
-        erroneous_only=erroneous_only,
-    )
-    rows_by_type: dict[str, list[int]] = {}
-    for r, (*_, name) in enumerate(scored):
-        if name:
-            rows_by_type.setdefault(name, []).append(r)
-    for name, rows in sorted(rows_by_type.items()):
-        report.per_type[name] = {
-            "n": float(len(rows)),
-            "first_error_acc": first_error_accuracy(
-                [predictions[r] for r in rows], [gold_positions[r] for r in rows]),
-            "all_step_acc": all_step_accuracy(
-                [predicted_labels[r] for r in rows],
-                [gold_label_rows[r] for r in rows]),
-        }
-    return report
+@dataclass
+class _Tally:
+    """Running counts over scored trajectories. Its accuracies equal those
+    of the list functions above bit for bit: the counts are integers, and
+    ``macro_sum`` adds the per-trajectory rates left to right from zero as
+    ``sum`` does."""
+    trajectories: int = 0
+    first_error_hits: int = 0
+    step_hits: int = 0
+    steps: int = 0
+    macro_sum: float = 0.0
+
+    def add(self, first_error_hit: bool, step_hits: int, steps: int) -> None:
+        self.trajectories += 1
+        self.first_error_hits += first_error_hit
+        self.step_hits += step_hits
+        self.steps += steps
+        self.macro_sum += step_hits / steps
+
+    def first_error_acc(self) -> float:
+        return self.first_error_hits / self.trajectories if self.trajectories else 0.0
+
+    def all_step_acc(self) -> float:
+        return self.step_hits / self.steps if self.steps else 0.0
 
 
-def evaluate_instances(instances: Sequence[Instance], judge,
+class _Scoreboard:
+    """Metrics over scored trajectories, folded in one at a time, so memory
+    holds a few counters per error type rather than a row per trajectory."""
+
+    def __init__(self, threshold: float):
+        self.threshold = threshold
+        self.total = _Tally()
+        self.by_type: dict[str, _Tally] = {}
+
+    def add(self, scores: Sequence[float], gold_k: Optional[int],
+            gold_row: Sequence[bool], error_type: str) -> None:
+        """One trajectory: its step scores, gold first-error position, gold
+        validity row and error type; an empty error type is left out of the
+        per-type rows."""
+        predicted = [s >= self.threshold for s in scores]
+        if len(predicted) != len(gold_row):
+            raise ValueError("per-trajectory label length mismatch")
+        hit = predict_first_error(scores, self.threshold) == gold_k
+        step_hits = sum(p == g for p, g in zip(predicted, gold_row))
+        self.total.add(hit, step_hits, len(gold_row))
+        if error_type:
+            self.by_type.setdefault(error_type, _Tally()).add(
+                hit, step_hits, len(gold_row))
+
+    def report(self, n_instances: int, erroneous_only: bool = True) -> EvalReport:
+        total = self.total
+        return EvalReport(
+            first_error_acc=total.first_error_acc(),
+            all_step_acc=total.all_step_acc(),
+            all_step_macro=(total.macro_sum / total.trajectories
+                            if total.trajectories else 0.0),
+            n_instances=n_instances,
+            per_type={name: {"n": float(tally.trajectories),
+                             "first_error_acc": tally.first_error_acc(),
+                             "all_step_acc": tally.all_step_acc()}
+                      for name, tally in sorted(self.by_type.items())},
+            threshold=self.threshold,
+            erroneous_only=erroneous_only,
+        )
+
+
+def evaluate_instances(instances: Iterable[Instance], judge,
                        threshold: float = 0.5,
                        erroneous_only: bool = True) -> EvalReport:
-    scored = []
+    """Scores each instance's erroneous chain, and its correct chain unless
+    ``erroneous_only``; ``instances`` is read once, one at a time."""
+    board = _Scoreboard(threshold)
+    n_instances = 0
     for inst in instances:
+        n_instances += 1
         context = JudgeContext.for_instance(inst)
         labels = label_steps(inst)
         trajectories = [(inst.erroneous.steps, inst.k,
@@ -253,9 +290,9 @@ def evaluate_instances(instances: Sequence[Instance], judge,
             trajectories.append((inst.correct.steps, None,
                                  [True] * len(inst.correct.steps)))
         for steps, gold_k, gold_row in trajectories:
-            scored.append((_judge_scores(judge, context, steps), gold_k, gold_row,
-                           inst.error_type.value))
-    return _report(scored, len(instances), threshold, erroneous_only)
+            board.add(_judge_scores(judge, context, steps), gold_k, gold_row,
+                      inst.error_type.value)
+    return board.report(n_instances, erroneous_only)
 
 
 def make_judge(spec: str) -> object:
@@ -272,11 +309,12 @@ def evaluate_scored_records(records: Sequence[dict],
     """Metrics over externally scored trajectories, records of the shape
     ``load_scored_records`` checks: ``step_scores``, gold ``labels``
     (valid/invalid) and an integer ``first_error_index``, null if clean."""
-    scored = [([float(s) for s in record["step_scores"]],
-               record.get("first_error_index"),
-               [label == "valid" for label in record["labels"]], "")
-              for record in records]
-    return _report(scored, len(records), threshold)
+    board = _Scoreboard(threshold)
+    for record in records:
+        board.add([float(s) for s in record["step_scores"]],
+                  record.get("first_error_index"),
+                  [label == "valid" for label in record["labels"]], "")
+    return board.report(len(records))
 
 
 def _check_scored(obj, where: str) -> None:

@@ -236,11 +236,9 @@ def _realize_rule(rule: Rule, pmap: PredicateMap, seed: int, salt: int) -> str:
     return frame.format(**slots)
 
 
-def _realize_step(step: Step, rule_text: str, pmap: PredicateMap, seed: int,
-                  position: int) -> dict:
+def _realize_step(step: Step, rule_text: str, frame: str, pmap: PredicateMap) -> dict:
     supports = [pmap.clause(l) for l in step.supports]
     conclusion = pmap.clause(step.conclusion)
-    frame = _frame_pick(lexicon.STEP_FRAMES, seed, 113, position)
     facts_joined = ", and ".join(supports)
     text = frame.format(facts=facts_joined, why=rule_text, concl=conclusion)
     return {
@@ -298,6 +296,17 @@ def realize_instance(inst: Instance, pmap: PredicateMap, mode: str = "clean",
         raise PredicateMapInvalid(f"{stray} is outside the record's universe")
     rule_texts = {rule: _realize_rule(rule, pmap, seed, i)
                   for i, rule in enumerate(inst.rules)}
+    correct, erroneous = inst.correct.steps, inst.erroneous.steps
+    # a step frame depends only on the position, so both chains share it
+    step_frames = [_frame_pick(lexicon.STEP_FRAMES, seed, 113, i)
+                   for i in range(max(len(correct), len(erroneous)))]
+
+    def render_step(step: Step, i: int) -> dict:
+        rule_text = rule_texts.get(step.rule) or \
+            _realize_rule(step.rule, pmap, seed, 997 + i)
+        return _realize_step(step, rule_text, step_frames[i], pmap)
+
+    correct_records = [render_step(s, i) for i, s in enumerate(correct)]
     goal_frame = _frame_pick(lexicon.GOAL_FRAMES, seed, 31)
     record: dict = {
         "mode": mode,
@@ -309,17 +318,14 @@ def realize_instance(inst: Instance, pmap: PredicateMap, mode: str = "clean",
         "goal_text": goal_frame.format(concl=pmap.clause(inst.goal)),
         "base_fact_texts": [pmap.sentence(l) for l in inst.base_facts],
         "rule_texts": [rule_texts[r] for r in inst.rules],
-        "correct_steps": [
-            _realize_step(s, rule_texts.get(s.rule) or
-                          _realize_rule(s.rule, pmap, seed, 997 + i),
-                          pmap, seed, i)
-            for i, s in enumerate(inst.correct.steps)
-        ],
+        "correct_steps": correct_records,
+        # an erroneous step equal to the correct one at its position renders
+        # the same; it gets a copy, since annotated mode adds to it below
         "erroneous_steps": [
-            _realize_step(s, rule_texts.get(s.rule) or
-                          _realize_rule(s.rule, pmap, seed, 997 + i),
-                          pmap, seed, i)
-            for i, s in enumerate(inst.erroneous.steps)
+            dict(correct_records[i],
+                 support_texts=list(correct_records[i]["support_texts"]))
+            if i < len(correct) and s == correct[i] else render_step(s, i)
+            for i, s in enumerate(erroneous)
         ],
     }
     if mode == "annotated":

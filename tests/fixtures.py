@@ -1,4 +1,5 @@
-"""Hand-encoded golden instances: two full paired trajectories.
+"""Hand-encoded golden instances: two full paired trajectories; and helpers
+that run code in a fresh interpreter.
 
 The bakery chain carries a missing-prerequisite corruption at position 4 (the
 bridge step deriving [F5]=True is deleted and its consumer runs early); the
@@ -7,6 +8,11 @@ is given the same value as the known side instead of the opposite one).
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from counterchain import (
     CorrectChain,
@@ -141,3 +147,42 @@ def navigator_instance() -> Instance:
         correct=correct,
         erroneous=erroneous,
     )
+
+
+# ---------------------------------------------------------------------------
+# fresh interpreters
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _env() -> dict[str, str]:
+    return {**os.environ, "PYTHONPATH": str(SRC)}
+
+
+def python(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter, with cold caches."""
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=_env(),
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def peak_rss_mb(*args: str) -> float:
+    """Peak resident set size, in MB, of a fresh interpreter run with
+    ``args``, read from ``os.wait4`` when it exits; it must exit 0.
+
+    A forked child's peak starts at its parent's resident size, so the run
+    is started by a small interpreter of its own, not by the test process.
+    """
+    out = python(
+        "import os, subprocess, sys\n"
+        f"proc = subprocess.Popen([sys.executable, *{args!r}],\n"
+        "                        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)\n"
+        "stderr = proc.stderr.read()\n"
+        "_, status, usage = os.wait4(proc.pid, 0)\n"
+        "proc.returncode = os.waitstatus_to_exitcode(status)\n"
+        "if proc.returncode:\n"
+        "    sys.exit(f'exit {proc.returncode}: {stderr.decode()}')\n"
+        "print(usage.ru_maxrss)\n")
+    return int(out) / 1024

@@ -22,7 +22,12 @@ from counterchain import (
     oracle_at_k,
     predict_first_error,
 )
-from counterchain.evaluation import all_step_macro, pools_from_obj, render_judge_prompt
+from counterchain.evaluation import (
+    all_step_macro,
+    evaluate_scored_records,
+    pools_from_obj,
+    render_judge_prompt,
+)
 
 from . import fixtures
 from .oracles import brute_best_of_k, brute_majority, brute_oracle_at_k
@@ -80,6 +85,34 @@ def test_all_step_accuracy_arithmetic():
     gold = [[True, True, True, True, True, True]]
     assert all_step_accuracy(pred, gold) == pytest.approx(5 / 6)
     assert all_step_macro(pred, gold) == pytest.approx(5 / 6)
+
+
+def test_running_report_equals_the_list_metrics_exactly():
+    """The report folds trajectories into running counts; its figures must
+    equal the list functions' on the same trajectories, to the last bit."""
+    rng = random.Random(12)
+    for trial in range(40):
+        records = []
+        for _ in range(rng.randint(0, 30)):
+            n = rng.randint(1, 9)
+            k = rng.choice([None, *range(1, n + 1)])
+            records.append({
+                "step_scores": [rng.choice([0.0, 0.2, 0.5, 0.7, 1.0]) for _ in range(n)],
+                "labels": ["valid" if k is None or i < k else "invalid"
+                           for i in range(1, n + 1)],
+                "first_error_index": k,
+            })
+        threshold = rng.choice([0.3, 0.5, 0.8])
+        report = evaluate_scored_records(records, threshold=threshold)
+        scores = [r["step_scores"] for r in records]
+        gold_rows = [[label == "valid" for label in r["labels"]] for r in records]
+        predicted = [[s >= threshold for s in row] for row in scores]
+        assert report.n_instances == len(records)
+        assert report.first_error_acc == first_error_accuracy(
+            [predict_first_error(row, threshold) for row in scores],
+            [r["first_error_index"] for r in records])
+        assert report.all_step_acc == all_step_accuracy(predicted, gold_rows)
+        assert report.all_step_macro == all_step_macro(predicted, gold_rows)
 
 
 def test_coin_flip_judge_near_half():

@@ -5,29 +5,15 @@ kept for one table size at a time, however many sizes a process sees."""
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 from counterchain import CorpusConfig, generate_corpus
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def _python(code: str) -> str:
-    """stdout of ``code`` run in a fresh interpreter, with cold caches."""
-    result = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    return result.stdout
+from .fixtures import python
 
 
 def test_distinct_theories_at_the_cap_keep_memory_bounded():
     # 300 distinct 24-fact theories, 2 MB of rows each: a cache that kept
     # them all (or 256 of them) would peak above 500 MB
-    out = _python(
+    out = python(
         "import itertools, resource\n"
         "from counterchain.logic import FactId, Rule, RuleTemplate\n"
         "from counterchain.prover import UNIVERSE_CAP, model_table, theory_for\n"
@@ -47,7 +33,7 @@ def test_tables_of_many_sizes_keep_one_size_of_columns():
     # and the switch to 23 free facts at 104 MB while both sizes are alive.
     # Columns kept for every size seen would add the 12 + 6 + 3 + 1.5 MB of
     # the smaller ones and peak at 118 MB.
-    out = _python(
+    out = python(
         "import resource\n"
         "from counterchain.logic import FactId, Literal, Rule, RuleTemplate\n"
         "from counterchain.prover import UNIVERSE_CAP, model_table, theory_for\n"
@@ -69,7 +55,7 @@ def test_audit_builds_one_table_per_record(tmp_path):
     generate_corpus(CorpusConfig(total_count=records, seed=5), str(corpus))
     commands = [["verify", str(corpus)],
                 ["eval", "--corpus", str(corpus), "--include-correct"]]
-    out = _python(
+    out = python(
         "import contextlib, io\n"
         "from counterchain.cli import main\n"
         "from counterchain.prover import model_table\n"

@@ -7,16 +7,26 @@ import re
 import pytest
 
 from counterchain import (
+    CorpusConfig,
     FactId,
     PredicateMapInvalid,
     ScriptedTranslator,
     build_predicate_map,
+    generate_corpus,
     leak_lint,
+    read_corpus,
     realize_instance,
     realized,
 )
 from counterchain import lexicon
-from counterchain.realize import LEAK_PHRASES, LEAK_WORDS, _scan_text
+from counterchain.realize import (
+    LEAK_PHRASES,
+    LEAK_WORDS,
+    _frame_pick,
+    _realize_rule,
+    _realize_step,
+    _scan_text,
+)
 
 from . import fixtures
 
@@ -241,6 +251,34 @@ def test_annotated_mode_marks_only_tail_steps():
         assert ("annotation" in step_record) == (i >= inst.k)
     clean = realize_instance(inst, pmap, mode="clean")
     assert all("annotation" not in s for s in clean["erroneous_steps"])
+
+
+def test_steps_shared_by_both_chains_render_as_drawn_alone(tmp_path):
+    """``realize_instance`` draws each step frame once per position and copies
+    an erroneous step equal to the correct one at its position. Every step
+    record must equal the one drawn for that step alone, and annotating a
+    copied record must leave the correct chain's record bare."""
+    path = tmp_path / "c.jsonl"
+    generate_corpus(CorpusConfig(total_count=20, seed=7), str(path))
+    shared_tail = 0
+    for inst in read_corpus(str(path))[1]:
+        pmap = build_predicate_map(inst, seed=inst.seed)
+        record = realize_instance(inst, pmap, mode="annotated", seed=inst.seed)
+        rule_texts = dict(zip(inst.rules, record["rule_texts"]))
+        note = record["erroneous_steps"][-1]["annotation"]
+        for key, steps in (("correct_steps", inst.correct.steps),
+                           ("erroneous_steps", inst.erroneous.steps)):
+            for i, step in enumerate(steps):
+                rule_text = rule_texts.get(step.rule) or \
+                    _realize_rule(step.rule, pmap, inst.seed, 997 + i)
+                frame = _frame_pick(lexicon.STEP_FRAMES, inst.seed, 113, i)
+                alone = _realize_step(step, rule_text, frame, pmap)
+                if key == "erroneous_steps" and i + 1 >= inst.k:
+                    alone["annotation"] = note
+                    shared_tail += i < len(inst.correct.steps) and \
+                        step == inst.correct.steps[i]
+                assert record[key][i] == alone
+    assert shared_tail  # the copy is exercised where annotations are added
 
 
 def test_realized_instance_serializes_with_nl(tmp_path):
