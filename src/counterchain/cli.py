@@ -297,8 +297,8 @@ def cmd_eval(args) -> int:
         report_obj["judge"] = args.judge
     if args.scored:
         with _reading("scored records"):
-            records = load_scored_records(args.scored)
-        scored = evaluate_scored_records(records, threshold=args.threshold)
+            scored = evaluate_scored_records(load_scored_records(args.scored),
+                                             threshold=args.threshold)
         print(scored.to_text(), end="")
         report_obj["scored"] = scored.to_dict()
     if args.pools:

@@ -27,12 +27,12 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from .injection import (
+    ROWS,
     DownstreamStuck,
     ErroneousChain,
     ErrorType,
     InjectionInfeasible,
     Instance,
-    applicable_errors,
     inject,
     k_positions,
     verify_first_error,
@@ -443,19 +443,18 @@ def build_instance(cfg: CorpusConfig, index: int,
     def note(reason: str) -> None:
         reasons[reason] = reasons.get(reason, 0) + 1
 
-    # shape-changing corruptions must keep the erroneous chain inside the
-    # configured step band
+    # only the target's row is asked; a shape-changing corruption must keep
+    # the erroneous chain inside the configured step band
+    row = ROWS[target]
     lo, hi = cfg.synthesis.step_count
-    delta = {ErrorType.REDUNDANT_STEP: 1, ErrorType.MISSING_PREREQUISITE: -1}
-    shift = delta.get(target, 0)
 
     for _ in range(MAX_CHAIN_ATTEMPTS):
         chain = synthesize_chain(cfg.synthesis, rng.getrandbits(63))
-        if not lo <= len(chain.steps) + shift <= hi:
+        if not lo <= len(chain.steps) + row.length_shift <= hi:
             note("length-budget")
             continue
         positions = k_positions(len(chain.steps), cfg.k_first, cfg.k_exclude_last)
-        sites = [k for k in positions if target in applicable_errors(chain, k)]
+        sites = [k for k in positions if row.applies(chain, k)]
         if not sites:
             note("no-applicable-site")
             continue

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Protocol, Sequence
 
 from .dataset import label_steps
 from .injection import Instance
@@ -304,17 +304,20 @@ def make_judge(spec: str) -> object:
     raise ValueError(f"unknown judge spec: {spec!r}")
 
 
-def evaluate_scored_records(records: Sequence[dict],
+def evaluate_scored_records(records: Iterable[dict],
                             threshold: float = 0.5) -> EvalReport:
     """Metrics over externally scored trajectories, records of the shape
     ``load_scored_records`` checks: ``step_scores``, gold ``labels``
-    (valid/invalid) and an integer ``first_error_index``, null if clean."""
+    (valid/invalid) and an integer ``first_error_index``, null if clean.
+    ``records`` is read once, one at a time."""
     board = _Scoreboard(threshold)
+    n_records = 0
     for record in records:
+        n_records += 1
         board.add([float(s) for s in record["step_scores"]],
                   record.get("first_error_index"),
                   [label == "valid" for label in record["labels"]], "")
-    return board.report(len(records))
+    return board.report(n_records)
 
 
 def _check_scored(obj, where: str) -> None:
@@ -335,10 +338,10 @@ def _check_scored(obj, where: str) -> None:
         raise ValueError(f"first_error_index {gold_k!r} is not an integer{where}")
 
 
-def load_scored_records(path: str) -> list[dict]:
-    """Scored-trajectory records, one JSON object per line; a header record
-    is skipped. Raises ValueError on any record of another shape."""
-    records = []
+def load_scored_records(path: str) -> Iterator[dict]:
+    """Scored-trajectory records, one JSON object per line, yielded as they
+    are read; a header record is skipped. Raises ValueError, when the
+    iteration reaches it, on any record of another shape."""
     with open(path, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, start=1):
             line = line.strip()
@@ -348,8 +351,7 @@ def load_scored_records(path: str) -> list[dict]:
             if isinstance(obj, dict) and obj.get("record") == "header":
                 continue
             _check_scored(obj, f" (line {number})")
-            records.append(obj)
-    return records
+            yield obj
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Corruption of verified chains at a controlled first-error position.
 
-Eleven error types in two families. Truth-state types keep the chain shape
-and replace step k's conclusion (or a cited support value) with the type's
-canonical wrong output; they are verified by prefix non-derivability of the
-corrupted conclusion, whose supports must be established facts of its rule.
-Structural types mutate the trajectory shape (direction misuse, duplicate
-work, missing bridge facts, cyclic support) and may remain locally
-truth-compatible, so each carries its own predicate.
+Eleven error types in two families, one row of ``ROWS`` each: where the type
+applies, how it corrupts step k, what ``verify_first_error`` checks, and how
+many steps it adds. Truth-state types keep the chain shape and replace step
+k's conclusion (or a cited support value) with the type's canonical wrong
+output; they are verified by prefix non-derivability of the corrupted
+conclusion, whose supports must be established facts of its rule. Structural
+types mutate the trajectory shape (direction misuse, duplicate work, missing
+bridge facts, cyclic support) and may remain locally truth-compatible, so
+each row carries its own predicate.
 
 After the corruption, every later step is re-derived by applying its rule's
 licensed patterns to the explicit corrupted state, never by global entailment:
@@ -20,23 +22,12 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .logic import Literal, Rule, RuleTemplate, State, TruthValue
-from .prover import (
-    Direction,
-    InferencePattern,
-    Status,
-    match_pattern,
-    patterns_concluding_fact,
-)
-from .synthesis import (
-    CorrectChain,
-    Prefix,
-    Step,
-    step_supports,
-    topological_order,
-)
+from .prover import (Direction, InferencePattern, Status, match_pattern,
+                     patterns_concluding_fact)
+from .synthesis import CorrectChain, Prefix, Step, step_supports, topological_order
 
 if TYPE_CHECKING:  # pragma: no cover
     from .realize import ContextProfile
@@ -64,10 +55,7 @@ class ErrorType(enum.Enum):
 
     @property
     def group(self) -> ErrorGroup:
-        if self in (ErrorType.CONVERSE_ERROR, ErrorType.REDUNDANT_STEP,
-                    ErrorType.MISSING_PREREQUISITE, ErrorType.CIRCULAR_REFERENCE):
-            return ErrorGroup.STRUCTURAL
-        return ErrorGroup.TRUTH_STATE
+        return ROWS[self].group
 
 
 class InjectionInfeasible(ValueError):
@@ -83,6 +71,10 @@ class ErroneousChain:
     steps: tuple[Step, ...]
     first_error_index: int
     error_type: ErrorType
+
+    @property
+    def corrupted(self) -> Step:
+        return self.steps[self.first_error_index - 1]
 
 
 @dataclass(frozen=True)
@@ -115,7 +107,7 @@ class Instance:
 
 
 # ---------------------------------------------------------------------------
-# the site index: what applicability and injection consult, once per chain
+# the rows: where each type applies, how it corrupts step k, what is checked
 
 
 def spare_implications(chain: CorrectChain) -> tuple[Rule, ...]:
@@ -133,111 +125,222 @@ def _established_literals(chain: CorrectChain, upto: int) -> set[Literal]:
     return out
 
 
-@dataclass(frozen=True)
-class Site:
-    """Step k of a chain as a corruption site. The hooks are the spare
-    implications A -> B with A established false and B true before k
-    (vacuous), or B established true and A unassigned (converse); the cycle
-    sites are the later steps (j, conclusion) that consume step k's
-    conclusion while concluding a fact in an unassigned slot of its rule.
-    Hooks keep ``chain.rules`` order and cycle sites ascending j, because
-    ``inject`` draws from them by position."""
-
-    pattern: Optional[InferencePattern]
-    types: frozenset[ErrorType]
-    vacuous_hooks: tuple[Rule, ...]
-    converse_hooks: tuple[Rule, ...]
-    cycle_sites: tuple[tuple[int, Literal], ...]
+def _applied_pattern(step: Step) -> Optional[InferencePattern]:
+    return match_pattern(step.rule, step.supports, step.conclusion)
 
 
-def site_index(chain: CorrectChain) -> tuple[Site, ...]:
-    """One ``Site`` per step, built on first use and kept in the frozen
-    chain's ``__dict__``: outside its fields, so no lookup hashes the chain."""
-    sites = chain.__dict__.get("_site_index")
-    if sites is None:
-        sites = chain.__dict__["_site_index"] = _index_sites(chain)
-    return sites
-
-
-def _index_sites(chain: CorrectChain) -> tuple[Site, ...]:
-    steps = chain.steps
-    patterns = [match_pattern(s.rule, s.supports, s.conclusion) for s in steps]
-    # each spare implication A -> B with the literals its hook tests read
-    spare = [(r, Literal(r.slots[0], False), Literal(r.slots[1], True), r.slots[0])
-             for r in spare_implications(chain)]
-    established = set(chain.base_facts)
+def _hooks(chain: CorrectChain, k: int) -> tuple[list[Rule], list[Rule]]:
+    """Step k's vacuous and converse hooks: spare implications A -> B with B
+    established true before k and A established false, or A unassigned. Both
+    keep ``chain.rules`` order: ``corrupt`` draws from them by position."""
+    established = _established_literals(chain, k)
     assigned = {l.fact for l in established}
-    sites = []
-    for k, (step, pattern) in enumerate(zip(steps, patterns), 1):
-        if k >= 2:
-            established.add(steps[k - 2].conclusion)
-            assigned.add(steps[k - 2].conclusion.fact)
-        vacuous = tuple(r for r, a_false, b_true, _ in spare
-                        if a_false in established and b_true in established)
-        converse = tuple(r for r, _, b_true, a in spare
-                         if b_true in established and a not in assigned)
-        open_slots = (set(step.rule.slots) - step.support_facts()
-                      - {step.conclusion.fact})
-        cycles = tuple((j, later.conclusion) for j, later in enumerate(steps[k:], k + 1)
-                       if later.conclusion.fact in open_slots
-                       and step.conclusion in later.supports)
-
-        types: set[ErrorType] = set()
-        if pattern is not None:
-            types = _template_errors(step.rule.template, pattern)
-            if vacuous:
-                types.add(ErrorType.VACUOUS_TRUTH_ERROR)
-            if converse:
-                types.add(ErrorType.CONVERSE_ERROR)
-            if k >= 2:
-                types.add(ErrorType.REDUNDANT_STEP)
-                # dropping the bridge must remove a premise of the consumer's
-                # applied pattern, not merely an extra listed support
-                consumer = patterns[k] if k < len(steps) else None
-                if consumer is not None and \
-                        step.conclusion in consumer.bind_premises(steps[k].rule):
-                    types.add(ErrorType.MISSING_PREREQUISITE)
-                if cycles:
-                    types.add(ErrorType.CIRCULAR_REFERENCE)
-        sites.append(Site(pattern, frozenset(types), vacuous, converse, cycles))
-    return tuple(sites)
+    spare = [r for r in spare_implications(chain) if Literal(r.slots[1], True) in established]
+    return ([r for r in spare if Literal(r.slots[0], False) in established],
+            [r for r in spare if r.slots[0] not in assigned])
 
 
-def _template_errors(template: RuleTemplate, pattern: InferencePattern) -> set[ErrorType]:
-    """Error types the step's template and applied direction admit."""
-    forward = pattern.direction is Direction.FORWARD
-    out: set[ErrorType] = set()
-    if template is RuleTemplate.IMPL:
-        out.add(ErrorType.IMPLICATION_MISUSE)
-        out.add(ErrorType.CONVERSE_ERROR)
-    if template is RuleTemplate.XOR_BARE:
-        out.add(ErrorType.XOR_AS_EQUIV)
-        if pattern.premises[0][1]:
-            out.add(ErrorType.XOR_AS_OR)
-    if template is RuleTemplate.XOR_ANTE:
-        out.add(ErrorType.XOR_AS_EQUIV)
-        if not forward and pattern.derived[1]:
-            out.add(ErrorType.XOR_AS_OR)
-    if template in (RuleTemplate.AND_CONS, RuleTemplate.AND_ANTE) and not forward:
-        out.add(ErrorType.DROP_CONDITION)
-    if template in (RuleTemplate.AND_CONS, RuleTemplate.AND_ANTE,
-                    RuleTemplate.OR_CONS, RuleTemplate.OR_ANTE) and forward:
-        out.add(ErrorType.PARTIAL_EVALUATION)
-    if (template is RuleTemplate.OR_CONS and forward) or \
-            (template is RuleTemplate.AND_ANTE and not forward):
-        out.add(ErrorType.OR_AND_CONFUSION)
-    return out
+def _cycle_sites(chain: CorrectChain, k: int) -> list[tuple[int, Literal]]:
+    """Later steps (j, conclusion), ascending j, that consume step k's
+    conclusion while concluding a fact in an unassigned slot of its rule."""
+    step = chain.steps[k - 1]
+    open_slots = set(step.rule.slots) - step.support_facts() - {step.conclusion.fact}
+    return [(j, later.conclusion) for j, later in enumerate(chain.steps[k:], k + 1)
+            if later.conclusion.fact in open_slots and step.conclusion in later.supports]
 
 
-def _site(chain: CorrectChain, k: int) -> Site:
-    if not 1 <= k <= len(chain.steps):
-        raise IndexError(f"k={k} outside 1..{len(chain.steps)}")
-    return site_index(chain)[k - 1]
+def _bridges_premise(chain: CorrectChain, k: int) -> bool:
+    """Step k's conclusion is a premise of its consumer's applied pattern,
+    not merely an extra listed support, so dropping it removes a premise."""
+    consumer = chain.steps[k]
+    pattern = _applied_pattern(consumer)
+    return pattern is not None and \
+        chain.steps[k - 1].conclusion in pattern.bind_premises(consumer.rule)
+
+
+def _premise_still_established(step: Step, established: set[Literal]) -> Optional[str]:
+    """None when ``step`` misses a premise: it cites a support not
+    established, or every pattern of its rule that concludes its literal has
+    a premise not established. Otherwise, why it misses none."""
+    if any(l not in established for l in step.supports):
+        return None
+    patterns = [p for p in patterns_concluding_fact(step.rule, step.conclusion.fact)
+                if p.derived[1] == step.conclusion.value]
+    if not patterns:
+        return "no pattern can conclude the corrupted step's literal"
+    if all(any(p not in established for p in pat.bind_premises(step.rule))
+           for pat in patterns):
+        return None
+    return "every required premise is established"
+
+
+# corruptions: step k as its type rewrites it
+
+
+def _negate(chain: CorrectChain, k: int, rng: random.Random) -> Step:
+    step = chain.steps[k - 1]
+    return replace(step, conclusion=step.conclusion.negated())
+
+
+def _dual_reading(chain: CorrectChain, k: int, rng: random.Random) -> Step:
+    """Read the connective as its dual: conclude the negation of the
+    established premise the dual reading would force, the false disjunct of
+    a forward OR_CONS or the true conjunct of a backward AND_ANTE."""
+    step = chain.steps[k - 1]
+    if step.rule.template is RuleTemplate.OR_CONS:
+        wrong = Literal(step.rule.slots[1], True)
+    else:
+        wrong = Literal(step.rule.slots[0], False)
+    values = {l.fact: l.value for l in step.supports if l.fact != wrong.fact}
+    return Step(k, step_supports(step.rule, wrong.fact, State(values)), step.rule, wrong)
+
+
+def _vacuous(chain: CorrectChain, k: int, rng: random.Random) -> Step:
+    a, b = (hook := rng.choice(_hooks(chain, k)[0])).slots
+    return Step(k, (Literal(a, False),), hook, Literal(b, False))
+
+
+def _converse(chain: CorrectChain, k: int, rng: random.Random) -> Step:
+    hooks = _hooks(chain, k)[1]
+    if hooks:
+        a, b = (hook := rng.choice(hooks)).slots
+        return Step(k, (Literal(b, True),), hook, Literal(a, True))
+    # in-place converse of the step's own implication
+    step = chain.steps[k - 1]
+    a, b = step.rule.slots
+    if _applied_pattern(step).direction is Direction.FORWARD:
+        return Step(k, (Literal(b, True),), step.rule, Literal(a, True))
+    return Step(k, (Literal(a, False),), step.rule, Literal(b, False))
+
+
+def _drop_bridge(chain: CorrectChain, k: int, rng: random.Random) -> Step:
+    """Step k's consumer, run at k without step k's conclusion. Refused where
+    ``verify_first_error`` would refuse it: when it still has every premise."""
+    consumer = chain.steps[k]
+    kept = tuple(l for l in consumer.supports if l != chain.steps[k - 1].conclusion)
+    corrupted = Step(k, kept, consumer.rule, consumer.conclusion)
+    problem = _premise_still_established(corrupted, _established_literals(chain, k))
+    if problem is not None:
+        raise InjectionInfeasible(problem)
+    return corrupted
+
+
+def _rewire_to_future(chain: CorrectChain, k: int, rng: random.Random) -> Step:
+    """Step k citing a later step's conclusion in place of an open slot."""
+    step = chain.steps[k - 1]
+    _, future = rng.choice(_cycle_sites(chain, k))
+    values = {l.fact: l.value for l in step.supports}
+    values[future.fact] = future.value
+    return Step(k, step_supports(step.rule, step.conclusion.fact, State(values)),
+                step.rule, step.conclusion)
+
+
+# checks: what ``verify_first_error`` runs on the corrupted step
+
+
+def _non_derivable(err: ErroneousChain, prefix: Prefix) -> list[str]:
+    """A truth-state corruption keeps a sound step's supports, established
+    facts of its rule other than the concluded one, and concludes what the
+    prefix does not entail."""
+    step = err.corrupted
+    problems = []
+    if not step.supports:
+        problems.append("corrupted step cites no support")
+    elif not prefix.established.issuperset(step.supports):
+        problems.append("corrupted step cites a support not established")
+    elif not step.support_facts() <= set(step.rule.facts()) - {step.conclusion.fact}:
+        problems.append("corrupted step cites a support outside its rule")
+    if step.conclusion.fact not in prefix.table.columns:
+        problems.append("corrupted conclusion is outside the theory's universe")
+    else:
+        verdict = prefix.table.decide(prefix.rows, step.conclusion)
+        if verdict.status is Status.ENTAILED:
+            problems.append("still-derivable")
+        elif verdict.status is Status.INCONSISTENT:
+            problems.append("prefix state inconsistent with the theory")
+    return problems
+
+
+def _cycle_problem(err: ErroneousChain, established: set[Literal]) -> Optional[str]:
+    try:
+        topological_order(err.steps)
+    except ValueError:
+        return None
+    return "no dependency cycle"
+
+
+@dataclass(frozen=True)
+class ErrorRow:
+    """One error type. ``admits(chain, k, pattern)``: the type applies at
+    step k, whose applied pattern is ``pattern``. ``corrupt(chain, k, rng)``:
+    step k corrupted, or ``InjectionInfeasible``. ``check``: what
+    ``verify_first_error`` runs; a truth-state check takes the replayed prefix
+    and returns a list of problems, a structural one the literals established
+    before k and returns a problem or None. ``length_shift``: steps added.
+    The defaults make a truth-state row that negates step k's conclusion."""
+
+    admits: Callable[[CorrectChain, int, InferencePattern], bool]
+    corrupt: Callable[[CorrectChain, int, random.Random], Step] = _negate
+    check: Callable = _non_derivable
+    group: ErrorGroup = ErrorGroup.TRUTH_STATE
+    length_shift: int = 0
+
+    def applies(self, chain: CorrectChain, k: int) -> bool:
+        """Every type needs step k to instantiate a licensed pattern."""
+        if not 1 <= k <= len(chain.steps):
+            raise IndexError(f"k={k} outside 1..{len(chain.steps)}")
+        pattern = _applied_pattern(chain.steps[k - 1])
+        return pattern is not None and self.admits(chain, k, pattern)
+
+
+_T = RuleTemplate
+_FORWARD = Direction.FORWARD
+
+ROWS: dict[ErrorType, ErrorRow] = {
+    ErrorType.DROP_CONDITION: ErrorRow(
+        lambda chain, k, p: p.template in (_T.AND_CONS, _T.AND_ANTE)
+        and p.direction is not _FORWARD),
+    ErrorType.IMPLICATION_MISUSE: ErrorRow(lambda chain, k, p: p.template is _T.IMPL),
+    ErrorType.OR_AND_CONFUSION: ErrorRow(
+        lambda chain, k, p: (p.template is _T.OR_CONS and p.direction is _FORWARD)
+        or (p.template is _T.AND_ANTE and p.direction is not _FORWARD),
+        _dual_reading),
+    ErrorType.PARTIAL_EVALUATION: ErrorRow(
+        lambda chain, k, p: p.template in (_T.AND_CONS, _T.AND_ANTE, _T.OR_CONS, _T.OR_ANTE)
+        and p.direction is _FORWARD),
+    ErrorType.XOR_AS_OR: ErrorRow(
+        lambda chain, k, p: (p.template is _T.XOR_BARE and p.premises[0][1])
+        or (p.template is _T.XOR_ANTE and p.direction is not _FORWARD and p.derived[1])),
+    ErrorType.XOR_AS_EQUIV: ErrorRow(
+        lambda chain, k, p: p.template in (_T.XOR_BARE, _T.XOR_ANTE)),
+    ErrorType.VACUOUS_TRUTH_ERROR: ErrorRow(
+        lambda chain, k, p: bool(_hooks(chain, k)[0]), _vacuous),
+    ErrorType.CONVERSE_ERROR: ErrorRow(
+        lambda chain, k, p: p.template is _T.IMPL or bool(_hooks(chain, k)[1]),
+        _converse,
+        lambda err, established: None if _applied_pattern(err.corrupted) is None
+        else "cited direction is licensed",
+        ErrorGroup.STRUCTURAL),
+    ErrorType.REDUNDANT_STEP: ErrorRow(
+        lambda chain, k, p: k >= 2,
+        lambda chain, k, rng: replace(chain.steps[rng.randrange(k - 1)], index=k),
+        lambda err, established: None if err.corrupted.conclusion in established
+        else "conclusion was not already established",
+        ErrorGroup.STRUCTURAL, length_shift=1),
+    ErrorType.MISSING_PREREQUISITE: ErrorRow(
+        lambda chain, k, p: 2 <= k < len(chain.steps) and _bridges_premise(chain, k),
+        _drop_bridge,
+        lambda err, established: _premise_still_established(err.corrupted, established),
+        ErrorGroup.STRUCTURAL, length_shift=-1),
+    ErrorType.CIRCULAR_REFERENCE: ErrorRow(
+        lambda chain, k, p: k >= 2 and bool(_cycle_sites(chain, k)),
+        _rewire_to_future, _cycle_problem, ErrorGroup.STRUCTURAL),
+}
 
 
 def applicable_errors(chain: CorrectChain, k: int) -> frozenset[ErrorType]:
-    """Error types whose template requirements match step k."""
-    return _site(chain, k).types
+    """Error types that apply at step k: the union of the rows."""
+    return frozenset(e for e, row in ROWS.items() if row.applies(chain, k))
 
 
 # ---------------------------------------------------------------------------
@@ -248,72 +351,15 @@ def inject(chain: CorrectChain, k: int, e: ErrorType, seed: int) -> ErroneousCha
     """Corrupt step k of a synthesized chain with error type ``e`` and
     rebuild the continuation under the corrupted state. ``build_instance``
     proves the chain with ``verify_chain`` before it stores the instance."""
-    site = _site(chain, k)
-    if e not in site.types:
+    row = ROWS[e]
+    if not row.applies(chain, k):
         raise InjectionInfeasible(f"{e.value} does not apply at step {k}")
-    rng = random.Random(seed)
-    step = chain.steps[k - 1]
-    prefix = chain.steps[: k - 1]
-    rest = chain.steps[k:]
-
-    if e in (ErrorType.IMPLICATION_MISUSE, ErrorType.XOR_AS_EQUIV,
-             ErrorType.XOR_AS_OR, ErrorType.DROP_CONDITION,
-             ErrorType.PARTIAL_EVALUATION):
-        corrupted = replace(step, conclusion=step.conclusion.negated())
-
-    elif e is ErrorType.OR_AND_CONFUSION:
-        # read the connective as its dual: conclude the negation of the
-        # established premise the dual reading would force
-        if step.rule.template is RuleTemplate.OR_CONS:
-            slot_fact = step.rule.facts()[1]          # the false disjunct
-            wrong = Literal(slot_fact, True)
-        else:                                         # AND_ANTE backward
-            slot_fact = step.rule.facts()[0]          # the true conjunct
-            wrong = Literal(slot_fact, False)
-        values = {l.fact: l.value for l in step.supports if l.fact != slot_fact}
-        corrupted = Step(k, step_supports(step.rule, slot_fact, State(values)),
-                         step.rule, wrong)
-
-    elif e is ErrorType.VACUOUS_TRUTH_ERROR:
-        hook = rng.choice(site.vacuous_hooks)
-        a, b = hook.facts()
-        corrupted = Step(k, (Literal(a, False),), hook, Literal(b, False))
-
-    elif e is ErrorType.CONVERSE_ERROR:
-        if site.converse_hooks:
-            hook = rng.choice(site.converse_hooks)
-            a, b = hook.facts()
-            corrupted = Step(k, (Literal(b, True),), hook, Literal(a, True))
-        else:
-            # in-place converse of the step's own implication
-            a, b = step.rule.facts()
-            if site.pattern.direction is Direction.FORWARD:
-                corrupted = Step(k, (Literal(b, True),), step.rule, Literal(a, True))
-            else:
-                corrupted = Step(k, (Literal(a, False),), step.rule, Literal(b, False))
-
-    elif e is ErrorType.REDUNDANT_STEP:
-        source = chain.steps[rng.randrange(k - 1)]
-        corrupted = replace(source, index=k)
-        rest = chain.steps[k - 1:]
-
-    elif e is ErrorType.MISSING_PREREQUISITE:
-        consumer = chain.steps[k]
-        kept = tuple(l for l in consumer.supports if l != step.conclusion)
-        corrupted = Step(k, kept, consumer.rule, consumer.conclusion)
-        rest = chain.steps[k + 1:]
-
-    else:  # CIRCULAR_REFERENCE
-        j, future = rng.choice(site.cycle_sites)
-        values = {l.fact: l.value for l in step.supports}
-        values[future.fact] = future.value
-        corrupted = Step(k, step_supports(step.rule, step.conclusion.fact, State(values)),
-                         step.rule, step.conclusion)
-
-    if corrupted.content_equals(step):
+    corrupted = row.corrupt(chain, k, random.Random(seed))
+    if corrupted.content_equals(chain.steps[k - 1]):
         raise InjectionInfeasible("canonical corruption coincides with the correct step")
-
-    corrupted_prefix = prefix + (corrupted,)
+    corrupted_prefix = chain.steps[: k - 1] + (corrupted,)
+    # an added step re-derives step k again; a dropped one skips its consumer
+    rest = chain.steps[k - row.length_shift:]
     downstream = recompute_downstream(chain, corrupted_prefix, originals=rest)
     return ErroneousChain(corrupted_prefix + tuple(downstream), k, e)
 
@@ -338,7 +384,7 @@ def recompute_downstream(chain: CorrectChain, corrupted_prefix: Sequence[Step],
     for original in originals:
         rule = original.rule
         target = original.conclusion.fact
-        used = match_pattern(rule, original.supports, original.conclusion)
+        used = _applied_pattern(original)
         # the originally used pattern first, the others in catalog order
         candidates = sorted(patterns_concluding_fact(rule, target), key=lambda p: p != used)
         applied = None
@@ -374,57 +420,9 @@ class InstanceReport:
 
 
 def _structural_predicate(inst: Instance, established: set[Literal]) -> Optional[str]:
-    chain = inst.erroneous
-    step = chain.steps[inst.k - 1]
-    e = inst.error_type
-
-    if e is ErrorType.CONVERSE_ERROR:
-        if match_pattern(step.rule, step.supports, step.conclusion) is not None:
-            return "cited direction is licensed"
-        return None
-    if e is ErrorType.REDUNDANT_STEP:
-        if step.conclusion not in established:
-            return "conclusion was not already established"
-        return None
-    if e is ErrorType.MISSING_PREREQUISITE:
-        if any(l not in established for l in step.supports):
-            return None
-        patterns = [p for p in patterns_concluding_fact(step.rule, step.conclusion.fact)
-                    if p.derived[1] == step.conclusion.value]
-        if not patterns:
-            return "no pattern can conclude the corrupted step's literal"
-        if all(any(p not in established for p in pat.bind_premises(step.rule))
-               for pat in patterns):
-            return None
-        return "every required premise is established"
-    # CIRCULAR_REFERENCE
-    try:
-        topological_order(chain.steps)
-    except ValueError:
-        return None
-    return "no dependency cycle"
-
-
-def _truth_state_problems(step: Step, prefix: Prefix) -> list[str]:
-    """A truth-state corruption keeps a sound step's supports, established
-    facts of its rule other than the concluded one, and concludes what the
-    prefix does not entail."""
-    problems = []
-    if not step.supports:
-        problems.append("corrupted step cites no support")
-    elif not prefix.established.issuperset(step.supports):
-        problems.append("corrupted step cites a support not established")
-    elif not step.support_facts() <= set(step.rule.facts()) - {step.conclusion.fact}:
-        problems.append("corrupted step cites a support outside its rule")
-    if step.conclusion.fact not in prefix.table.columns:
-        problems.append("corrupted conclusion is outside the theory's universe")
-    else:
-        verdict = prefix.table.decide(prefix.rows, step.conclusion)
-        if verdict.status is Status.ENTAILED:
-            problems.append("still-derivable")
-        elif verdict.status is Status.INCONSISTENT:
-            problems.append("prefix state inconsistent with the theory")
-    return problems
+    """The structural row's check of ``inst``: None when the corruption has
+    its type's defect, else the reason it does not."""
+    return ROWS[inst.error_type].check(inst.erroneous, established)
 
 
 def verify_first_error(inst: Instance) -> InstanceReport:
@@ -450,13 +448,14 @@ def verify_first_error(inst: Instance) -> InstanceReport:
     if valid < k - 1:
         failures.append(f"prefix step {valid + 1} is not valid")
     else:
-        corrupted = err.steps[k - 1]
-        if err.error_type.group is ErrorGroup.STRUCTURAL:
-            problem = _structural_predicate(inst, prefix.established)
+        corrupted = err.corrupted
+        row = ROWS[err.error_type]
+        if row.group is ErrorGroup.STRUCTURAL:
+            problem = row.check(err, prefix.established)
             if problem is not None:
                 failures.append(f"structural predicate failed: {problem}")
         else:
-            failures.extend(_truth_state_problems(corrupted, prefix))
+            failures.extend(row.check(err, prefix))
 
         # continuation: pattern application over the explicit corrupted state
         cf_state = prefix.state
@@ -468,7 +467,7 @@ def verify_first_error(inst: Instance) -> InstanceReport:
                 failures.append(f"step {t + 1}: support disagrees with the "
                                 f"corrupted state")
                 break
-            if match_pattern(step.rule, step.supports, step.conclusion) is None:
+            if _applied_pattern(step) is None:
                 failures.append(f"step {t + 1}: no licensed pattern under the "
                                 f"corrupted state")
                 break

@@ -1,9 +1,8 @@
-"""Fact/expression/rule language: parsing, printing, three-valued evaluation.
+"""Fact/expression/rule language: parsing, printing, three-valued states.
 
 Atoms are written ``[F<n>]``; connectives are ``and``, ``or``, ``xor`` and the
 rule arrow ``->``. Negation is not a connective: negative information lives in
-False-valued assignments. Partial states evaluate under strong Kleene
-semantics (False < Unknown < True, conjunction = min, disjunction = max).
+False-valued assignments. A partial state reads an unassigned fact as Unknown.
 
 A rule is flat: one of seven templates plus its slot facts (A, B[, C]).
 ``TEMPLATES`` gives each template's slot count and canonical text. The
@@ -423,18 +422,3 @@ class State:
     def __repr__(self) -> str:
         inner = ", ".join(str(l) for l in self.literals())
         return f"State({inner})"
-
-
-def eval_expr(e: Expr, s: State) -> TruthValue:
-    """Strong Kleene evaluation over a partial state."""
-    if isinstance(e, Atom):
-        return s.value_of(e.fact)
-    a = eval_expr(e.left, s)
-    b = eval_expr(e.right, s)
-    if isinstance(e, And):
-        return min(a, b, key=lambda v: v.value)
-    if isinstance(e, Or):
-        return max(a, b, key=lambda v: v.value)
-    if a is TruthValue.UNKNOWN or b is TruthValue.UNKNOWN:
-        return TruthValue.UNKNOWN
-    return TruthValue.of(a is not b)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from counterchain import (
     CorpusConfig,
@@ -21,9 +23,9 @@ from counterchain import (
     verify_first_error,
 )
 from counterchain.dataset import build_instance
-from counterchain.injection import k_positions, spare_implications
+from counterchain.injection import ROWS, k_positions, spare_implications
 from counterchain.prover import match_pattern
-from counterchain.synthesis import CorrectChain
+from counterchain.synthesis import CorrectChain, SynthesisConfig, SynthesisExhausted, synthesize_chain
 
 from . import fixtures
 
@@ -275,3 +277,52 @@ def test_k_positions_default_excludes_endpoints():
     cfg = CorpusConfig(total_count=1, seed=0)
     assert k_positions(7, cfg.k_first, cfg.k_exclude_last) == [2, 3, 4, 5, 6]
     assert k_positions(7, 1, False) == [1, 2, 3, 4, 5, 6, 7]
+
+
+# ---------------------------------------------------------------------------
+# every site a row admits either injects into an instance the verifier
+# accepts, or is refused by ``inject`` itself
+
+
+@st.composite
+def _synthesis_configs(draw):
+    lo = draw(st.integers(3, 12))
+    return SynthesisConfig(
+        step_count=(lo, draw(st.integers(lo, 12))),
+        max_facts=draw(st.integers(8, 20)),
+        side_steps=(0, draw(st.integers(0, 4))),
+        spare_impl_rules=draw(st.integers(0, 4)),
+        p_cycle_slot=draw(st.floats(0.0, 1.0)),
+        distractor_rules=draw(st.integers(0, 3)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_synthesis_configs(), st.integers(0, 2 ** 63 - 1))
+def test_every_admitted_site_injects_verifiably_or_is_refused(cfg, seed):
+    try:
+        chain = synthesize_chain(cfg, seed)
+    except SynthesisExhausted:
+        return
+    for e, row in ROWS.items():
+        for k in k_positions(len(chain.steps), 2, True):
+            if not row.applies(chain, k):
+                continue
+            try:
+                err = inject(chain, k, e, seed=seed ^ k)
+            except (InjectionInfeasible, DownstreamStuck):
+                continue
+            inst = Instance(id="prop", goal=chain.goal, base_facts=chain.base_facts,
+                            rules=chain.rules, correct=chain, erroneous=err)
+            report = verify_first_error(inst)
+            assert report.ok, (e.value, k, report.failures)
+
+
+@pytest.mark.parametrize("seed, index", [(11, 1488), (5, 1318), (5, 1837)])
+def test_missing_prerequisite_disagreements_are_refused_at_injection(seed, index):
+    """Indices where the consumer's other pattern still had every premise,
+    so the verifier refused what injection produced; ``inject`` now refuses
+    those sites itself, and the corpus bytes stay."""
+    cfg = CorpusConfig(seed=seed, total_count=2000)
+    _, reasons = build_instance(cfg, index, ErrorType.MISSING_PREREQUISITE)
+    assert reasons.get("infeasible", 0) >= 1, reasons
+    assert not any(r.startswith("structural predicate failed") for r in reasons), reasons

@@ -22,7 +22,6 @@ from counterchain import (
     TruthValue,
     Xor,
     XorConstraint,
-    eval_expr,
     generate_corpus,
     parse_expr,
     parse_literal,
@@ -176,21 +175,6 @@ def test_literal_round_trip():
         parse_literal("[F2]=Unknown")
 
 
-def test_eval_and_false_dominates():
-    s = State({F(6): False, F(7): True})
-    assert eval_expr(And(Atom(F(6)), Atom(F(7))), s) is TruthValue.FALSE
-
-
-def test_eval_or_true_dominates_unknown():
-    s = State({F(5): True})
-    assert eval_expr(Or(Atom(F(8)), Atom(F(5))), s) is TruthValue.TRUE
-
-
-def test_eval_xor_unknown_operand():
-    s = State({F(3): False})
-    assert eval_expr(Xor(Atom(F(3)), Atom(F(0))), s) is TruthValue.UNKNOWN
-
-
 def test_state_refuses_silent_flip():
     s = State({F(0): True})
     with pytest.raises(StateConflictError):
@@ -215,47 +199,6 @@ _exprs = st.recursive(
 @given(_exprs)
 def test_expr_render_parse_round_trip(expr):
     assert parse_expr(render_expr(expr)) == expr
-
-
-def _all_exprs(leaves: int):
-    """Every expression tree with exactly ``leaves`` atoms over F0..F3."""
-    if leaves == 1:
-        for i in range(4):
-            yield Atom(F(i))
-        return
-    for left_size in range(1, leaves):
-        for left in _all_exprs(left_size):
-            for right in _all_exprs(leaves - left_size):
-                for ctor in (And, Or, Xor):
-                    yield ctor(left, right)
-
-
-def test_eval_matches_truth_table_exhaustively_to_four_atoms():
-    import itertools
-
-    from .oracles import eval_full
-
-    cases = [({F(i): bits[i] for i in range(4)},
-              State({F(i): bits[i] for i in range(4)}))
-             for bits in itertools.product([False, True], repeat=4)]
-    for leaves in range(1, 5):
-        for expr in _all_exprs(leaves):
-            for assignment, state in cases:
-                assert bool(eval_expr(expr, state)) == eval_full(expr, assignment)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_exprs, st.dictionaries(st.integers(0, 5), st.booleans()),
-       st.integers(0, 5), st.booleans())
-def test_kleene_monotone_refinement(expr, assignment, extra_fact, extra_value):
-    """Refining Unknown facts never flips a determined verdict."""
-    base = State({F(i): v for i, v in assignment.items()})
-    before = eval_expr(expr, base)
-    refined_map = {F(i): v for i, v in assignment.items()}
-    refined_map.setdefault(F(extra_fact), extra_value)
-    after = eval_expr(expr, State(refined_map))
-    if before is not TruthValue.UNKNOWN:
-        assert after is before
 
 
 def _corpus_texts(tmp_path) -> tuple[set[str], set[str]]:

@@ -1,10 +1,10 @@
-"""Per-chain work done once: the site index, the cached theory and the
-single-pass derivation cost.
+"""Per-chain work done once or not at all: the error-type rows, the cached
+theory and the single-pass derivation cost.
 
 Each fast path is checked against the straightforward computation it
 replaced, kept here as the reference: the repeated fixpoint sweep for
 ``min_derivation_cost``, and the per-position applicability and hook
-functions for the site index.
+functions for the rows of ``injection.ROWS``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import pytest
 from counterchain import CorpusConfig, ErrorType, SynthesisConfig, applicable_errors
 from counterchain import dataset, injection, synthesis
 from counterchain.dataset import build_instance, generate_instances
-from counterchain.injection import _established_literals, site_index, spare_implications
+from counterchain.injection import (ROWS, ErrorGroup, _cycle_sites, _established_literals,
+                                   _hooks, spare_implications)
 from counterchain.logic import TEMPLATES, FactId, Literal, Rule, RuleTemplate
 from counterchain.prover import Direction, licensed_patterns, match_pattern
 from counterchain.synthesis import CorrectChain, Step, min_derivation_cost
@@ -152,32 +153,61 @@ def drawn_chains():
     return out
 
 
-def test_site_index_matches_per_position_reference(drawn_chains):
+@pytest.fixture(scope="module")
+def many_chains():
+    """2,100 chains as ``build_instance`` draws them, from seeded 63-bit
+    chain seeds: 1,500 of the default config and 600 of the wide one."""
+    rng = random.Random(20261019)
+    return [(name, synthesis.synthesize_chain(cfg, rng.getrandbits(63)))
+            for name, cfg, n in (("default", SynthesisConfig(), 1500), ("wide", WIDE, 600))
+            for _ in range(n)]
+
+
+def test_rows_cover_every_error_type():
+    assert list(ROWS) == list(ErrorType)
+    structural = {ErrorType.CONVERSE_ERROR, ErrorType.REDUNDANT_STEP,
+                  ErrorType.MISSING_PREREQUISITE, ErrorType.CIRCULAR_REFERENCE}
+    for e, row in ROWS.items():
+        assert e.group is row.group is (ErrorGroup.STRUCTURAL if e in structural
+                                         else ErrorGroup.TRUTH_STATE)
+    assert {e: row.length_shift for e, row in ROWS.items() if row.length_shift} == \
+        {ErrorType.REDUNDANT_STEP: 1, ErrorType.MISSING_PREREQUISITE: -1}
+
+
+def test_rows_match_per_position_reference(many_chains):
     positions = 0
-    for key, chains in drawn_chains.items():
-        assert chains, key
-        for chain in chains:
-            sites = site_index(chain)
-            assert len(sites) == len(chain.steps)
-            for k, site in enumerate(sites, 1):
-                where = (key, chain.goal, k)
-                assert set(site.types) == ref_applicable_errors(chain, k), where
-                assert applicable_errors(chain, k) == site.types, where
-                assert list(site.vacuous_hooks) == ref_vacuous_hooks(chain, k), where
-                assert list(site.converse_hooks) == ref_converse_hooks(chain, k), where
-                assert list(site.cycle_sites) == ref_cycle_sites(chain, k), where
-                positions += 1
-    assert positions > 500
+    for name, chain in many_chains:
+        n = len(chain.steps)
+        for k in range(1, n + 1):
+            where = (name, chain.goal, k)
+            expected = ref_applicable_errors(chain, k)
+            for e, row in ROWS.items():
+                assert row.applies(chain, k) is (e in expected), (where, e)
+            assert applicable_errors(chain, k) == expected, where
+            # the lists ``inject`` draws from, in the order it draws by
+            vacuous, converse = _hooks(chain, k)
+            assert vacuous == ref_vacuous_hooks(chain, k), where
+            assert converse == ref_converse_hooks(chain, k), where
+            assert _cycle_sites(chain, k) == ref_cycle_sites(chain, k), where
+            positions += 1
+        for k in (0, n + 1):
+            with pytest.raises(IndexError):
+                applicable_errors(chain, k)
+    assert len(many_chains) >= 2000 and positions > 15000
 
 
-def test_site_index_lists_are_not_all_empty(drawn_chains):
+def test_hook_and_cycle_lists_are_not_all_empty(many_chains):
     """The order checks above must see hook lists of more than one rule. A
     valid chain has at most one cycle site per step: the open slot of a
     three-slot rule is one fact, and only one step concludes it."""
-    sites = [s for chains in drawn_chains.values() for c in chains for s in site_index(c)]
-    assert any(len(s.vacuous_hooks) > 1 for s in sites)
-    assert any(len(s.converse_hooks) > 1 for s in sites)
-    assert any(s.cycle_sites for s in sites)
+    lists = [(*_hooks(c, k), _cycle_sites(c, k))
+             for _, c in many_chains for k in range(1, len(c.steps) + 1)]
+    assert any(len(vacuous) > 1 for vacuous, _, _ in lists)
+    assert any(len(converse) > 1 for _, converse, _ in lists)
+    assert any(cycles for _, _, cycles in lists)
+    # every type applies somewhere, so each row's ``applies`` was exercised
+    assert all(any(row.applies(c, k) for _, c in many_chains[:300]
+                   for k in range(1, len(c.steps) + 1)) for row in ROWS.values())
 
 
 def test_derivation_cost_matches_sweep_on_drawn_chains(drawn_chains):
@@ -229,18 +259,26 @@ def test_derivation_cost_sums_premise_costs():
 # count guard
 
 
-def test_build_instance_does_each_per_chain_computation_once(monkeypatch):
-    drawn, indexed, theories = [], [], []
-    synthesize, index_sites, theory_for = (dataset.synthesize_chain,
-                                           injection._index_sites, synthesis.theory_for)
+def _build_with_spies(monkeypatch, target):
+    """``build_instance`` for ``target``, with the chains it draws, the
+    chains whose hooks or cycle sites it computes, and the chains whose
+    theory it computes."""
+    drawn, hooked, cycled, theories = [], [], [], []
+    synthesize, hooks, cycle_sites, theory_for = (
+        dataset.synthesize_chain, injection._hooks, injection._cycle_sites,
+        synthesis.theory_for)
 
     def spy_synthesize(*args, **kwargs):
         drawn.append(synthesize(*args, **kwargs))
         return drawn[-1]
 
-    def spy_index_sites(chain):
-        indexed.append(chain)
-        return index_sites(chain)
+    def spy_hooks(chain, k):
+        hooked.append(chain)
+        return hooks(chain, k)
+
+    def spy_cycle_sites(chain, k):
+        cycled.append(chain)
+        return cycle_sites(chain, k)
 
     def spy_theory_for(*args, **kwargs):
         # the caller is the CorrectChain whose theory is being computed
@@ -248,21 +286,37 @@ def test_build_instance_does_each_per_chain_computation_once(monkeypatch):
         return theory_for(*args, **kwargs)
 
     monkeypatch.setattr(dataset, "synthesize_chain", spy_synthesize)
-    monkeypatch.setattr(injection, "_index_sites", spy_index_sites)
+    monkeypatch.setattr(injection, "_hooks", spy_hooks)
+    monkeypatch.setattr(injection, "_cycle_sites", spy_cycle_sites)
     monkeypatch.setattr(synthesis, "theory_for", spy_theory_for)
-    cfg = CorpusConfig(total_count=40, seed=5)
-    inst, reasons = build_instance(cfg, 9, ErrorType.IMPLICATION_MISUSE)
+    inst, reasons = build_instance(CorpusConfig(total_count=40, seed=5), 9, target)
+    return inst, reasons, drawn, hooked, cycled, theories
+
+
+def test_build_instance_does_each_per_chain_computation_once(monkeypatch):
+    inst, reasons, drawn, hooked, cycled, theories = _build_with_spies(
+        monkeypatch, ErrorType.IMPLICATION_MISUSE)
 
     # several chains, some with no site and some with failed injections
     assert reasons["no-applicable-site"] >= 1 and reasons["downstream-stuck"] >= 2, reasons
-    assert indexed and theories
-    # the index is built at most once per synthesized chain, never for another
-    assert len({id(c) for c in indexed}) == len(indexed)
-    assert {id(c) for c in indexed} <= {id(c) for c in drawn}
+    # a template-only target reads step k's pattern alone: no hooks, no cycle sites
+    assert hooked == [] and cycled == []
     # one theory per chain object, however many checks read it
+    assert theories
     assert all(isinstance(c, CorrectChain) for c in theories)
     assert len({id(c) for c in theories}) == len(theories)
     assert inst.correct is drawn[-1]
+
+
+@pytest.mark.parametrize("target", [ErrorType.VACUOUS_TRUTH_ERROR,
+                                    ErrorType.CIRCULAR_REFERENCE])
+def test_the_spies_see_the_rows_that_read_hooks_or_cycle_sites(monkeypatch, target):
+    _, _, drawn, hooked, cycled, _ = _build_with_spies(monkeypatch, target)
+    if target is ErrorType.VACUOUS_TRUTH_ERROR:
+        assert hooked and not cycled
+    else:
+        assert cycled and not hooked
+    assert {id(c) for c in hooked + cycled} <= {id(c) for c in drawn}
 
 
 def test_build_instance_proves_only_the_stored_chain(monkeypatch):

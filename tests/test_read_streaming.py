@@ -1,10 +1,12 @@
 """The read commands stream the corpus: ``verify``, ``eval``, ``realize`` and
 ``stats`` hold one record at a time, so their memory does not grow with the
-file, and the first fault in file order is the one they report."""
+file, and the first fault in file order is the one they report. ``eval
+--scored`` streams its scored-trajectory file the same way."""
 
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -52,6 +54,35 @@ def test_peak_memory_does_not_grow_with_the_corpus(short_and_long, tmp_path, com
     short, long = short_and_long
     peaks = [peak_rss_mb("-m", "counterchain.cli", *_argv(command, corpus, tmp_path))
              for corpus in (short, long)]
+    assert peaks[1] - peaks[0] < 2.0, peaks
+
+
+SCORED_COPIES = 400
+
+
+@pytest.fixture(scope="module")
+def scored_short_and_long(tmp_path_factory):
+    """24 scored trajectories, and the same ones repeated ``SCORED_COPIES``
+    times."""
+    rng = random.Random(13)
+    lines = []
+    for _ in range(24):
+        n = rng.randint(6, 12)
+        k = rng.choice([None, rng.randint(1, n)])
+        labels = ["valid" if k is None or i < k else "invalid" for i in range(1, n + 1)]
+        lines.append(json.dumps({"step_scores": [rng.random() for _ in range(n)],
+                                 "labels": labels, "first_error_index": k}))
+    d = tmp_path_factory.mktemp("scored")
+    short, long = d / "short.jsonl", d / "long.jsonl"
+    short.write_text("".join(line + "\n" for line in lines))
+    long.write_text("".join(line + "\n" for line in lines * SCORED_COPIES))
+    return short, long
+
+
+def test_eval_scored_peak_memory_does_not_grow_with_the_file(scored_short_and_long):
+    # a list of the 9,576 extra records adds about 14 MB
+    peaks = [peak_rss_mb("-m", "counterchain.cli", "eval", "--scored", str(path))
+             for path in scored_short_and_long]
     assert peaks[1] - peaks[0] < 2.0, peaks
 
 
