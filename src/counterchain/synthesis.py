@@ -6,7 +6,8 @@ subgoals, and recurse until the step budget is spent; open subgoals become
 base facts. Emission is post-order, so every support is established before
 its step runs. On top of the goal tree the generator weaves in:
 
-  * side steps deriving fresh facts that nothing downstream consumes,
+  * side steps deriving fresh facts that nothing downstream consumes, drawn
+    from ``_SIDE_ROWS``, a table of catalog patterns and the pools that fill them,
   * spare implication rules the chain never cites but the theory carries,
   * rules whose unused slot is bound to the conclusion of the step that will
     consume this step's own conclusion (sites for cyclic rewiring).
@@ -140,10 +141,18 @@ class SynthesisConfig:
             raise ValueError(f"max_facts {self.max_facts} exceeds the universe "
                              f"cap {UNIVERSE_CAP}")
         weights = [w for _, w in self.template_weights]
-        if not (all(map(math.isfinite, weights)) and any(w > 0 for w in weights)):
-            raise ValueError("template weights must be finite, and some positive")
-        if self.side_steps[0] > self.side_steps[1]:
-            raise ValueError(f"side_steps {self.side_steps}: minimum exceeds maximum")
+        if not (all(0 <= w < math.inf for w in weights) and any(w > 0 for w in weights)):
+            raise ValueError("template weights must be finite, non-negative and not all zero")
+        if not 0 <= self.side_steps[0] <= self.side_steps[1]:
+            raise ValueError(f"side_steps {self.side_steps}: the minimum must be "
+                             f"non-negative and at most the maximum")
+        for name in ("p_fresh", "p_cycle_slot"):
+            if not 0.0 <= getattr(self, name) <= 1.0:  # NaN fails this too
+                raise ValueError(f"{name} {getattr(self, name)} must lie within [0, 1]")
+        for name in ("max_facts", "max_attempts", "min_useful_steps", "spare_impl_rules",
+                     "distractor_rules"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} {getattr(self, name)} is negative")
 
     @functools.cached_property
     def shape_pools(self) -> dict[bool, tuple[tuple[InferencePattern, ...], list[float]]]:
@@ -184,6 +193,53 @@ _SHAPES_FALSE = _pick(
     (RuleTemplate.OR_CONS, 2),   # B=F, C=F => A=F
     (RuleTemplate.XOR_ANTE, 3),  # C=F, B=F => A=F
 )
+
+# the pools a side-step slot is drawn from: the true facts, the false facts,
+# the "retired" true or false facts that no later step mentions (all facts of
+# that value when none is), all known facts, and two pools that lean to a true
+# fact, whose corruption sites are scarcer: the false or all known facts, but a
+# true fact with p 0.7 (always when the pool has none left)
+_TRUE, _FALSE, _RETIRED_TRUE, _RETIRED_FALSE, _ANY, _TRUE_OR_FALSE, _TRUE_OR_ANY = range(7)
+
+
+@dataclass
+class _SideRow:
+    """A side step: a fresh fact fills the derived slot of ``patterns``, and
+    the other slots are drawn from known facts, never one twice, in the order
+    and from the pools that ``draws`` lists as (slot, pool). ``derived`` maps
+    premise values to the (slot, value) their pattern derives."""
+
+    weight: float
+    patterns: tuple[InferencePattern, ...]
+    draws: tuple[tuple[int, int], ...]
+    derived: dict[tuple[bool, ...], tuple[int, bool]] = field(init=False)
+
+    def __post_init__(self):
+        # a row's patterns share their premise slots
+        self.derived = {tuple(v for _, v in p.premises): p.derived for p in self.patterns}
+
+
+# the side steps; weights favour shapes that admit the scarcer corruption kinds
+_SIDE_ROWS = (
+    _SideRow(3.0, _pick((RuleTemplate.XOR_BARE, 0), (RuleTemplate.XOR_BARE, 1)),
+             ((0, _TRUE_OR_FALSE),)),
+    _SideRow(2.0, _pick((RuleTemplate.XOR_ANTE, 2), (RuleTemplate.XOR_ANTE, 3)),
+             ((2, _FALSE), (1, _TRUE_OR_ANY))),
+    _SideRow(2.5, _pick((RuleTemplate.OR_CONS, 0)), ((0, _TRUE), (1, _RETIRED_FALSE))),
+    _SideRow(2.0, _pick((RuleTemplate.AND_ANTE, 1)), ((0, _RETIRED_TRUE), (2, _FALSE))),
+    _SideRow(1.5, _pick((RuleTemplate.AND_CONS, 2)), ((1, _FALSE), (2, _ANY))),
+    _SideRow(1.5, _pick((RuleTemplate.IMPL, 0)), ((0, _TRUE),)),
+    _SideRow(1.0, _pick((RuleTemplate.IMPL, 1)), ((1, _FALSE),)),
+    _SideRow(1.0, _pick((RuleTemplate.AND_CONS, 0)), ((0, _TRUE), (2, _TRUE))),
+    _SideRow(1.0, _pick((RuleTemplate.OR_ANTE, 0)), ((0, _TRUE), (1, _ANY))),
+    _SideRow(1.0, _pick((RuleTemplate.XOR_ANTE, 0)), ((0, _TRUE), (1, _FALSE))),
+)
+
+# per (a fact is true, a fact is false): the rows whose every pool has a fact
+_FEASIBLE_SIDE_ROWS = {
+    (t, f): tuple(row for row in _SIDE_ROWS
+                  if all((t, f, t, f, True, True, True)[pool] for _, pool in row.draws))
+    for t, f in ((True, False), (False, True), (True, True))}
 
 
 @dataclass
@@ -239,10 +295,6 @@ class _Builder:
         self.leaves.append(lit)
         return lit
 
-    def pick_shape(self, value: bool) -> InferencePattern:
-        pool, cum_weights = self.cfg.shape_pools[value]
-        return self.rng.choices(pool, cum_weights=cum_weights, k=1)[0]
-
     def _bind_passive(self, shape: InferencePattern, goal: Literal,
                       parent: Optional[Literal], taken: set[FactId]) -> FactId:
         # a slot the rule constrains (given this step's intended values) may
@@ -268,7 +320,8 @@ class _Builder:
                parent: Optional[Literal]) -> tuple[_Node, int]:
         """Create the step concluding ``goal``; returns (node, steps spent)."""
         rng = self.rng
-        shape = self.pick_shape(goal.value)
+        pool, cum_weights = self.cfg.shape_pools[goal.value]
+        shape = rng.choices(pool, cum_weights=cum_weights, k=1)[0]
         slots: list[Optional[FactId]] = [None] * TEMPLATES[shape.template][0]
         slots[shape.derived[0]] = goal.fact
         taken = {goal.fact}
@@ -278,29 +331,24 @@ class _Builder:
         rng.shuffle(order)
         expand_flags = [False] * len(shape.premises)
         for pos, i in enumerate(order):
-            if remaining > 0 and (pos == len(order) - 1 or rng.random() < 0.35):
-                expand_flags[i] = True
+            expand_flags[i] = remaining > 0 and (pos == len(order) - 1 or rng.random() < 0.35)
 
         children: list[_Node] = []
         for i, (slot, value) in enumerate(shape.premises):
             if expand_flags[i] and remaining > 0:
-                fact = self.fresh_fact(value)
-                lit = Literal(fact, value)
-                slots[slot] = fact
-                taken.add(fact)
+                lit = Literal(self.fresh_fact(value), value)
                 node, used = self.expand(lit, remaining, goal)
                 remaining -= used
                 children.append(node)
             else:
                 lit = self.make_leaf(value, taken)
-                slots[slot] = lit.fact
-                taken.add(lit.fact)
+            slots[slot] = lit.fact
+            taken.add(lit.fact)
 
         for slot, bound in enumerate(slots):
             if bound is None:
-                fact = self._bind_passive(shape, goal, parent, taken)
-                slots[slot] = fact
-                taken.add(fact)
+                slots[slot] = self._bind_passive(shape, goal, parent, taken)
+                taken.add(slots[slot])
 
         rule = Rule(shape.template, tuple(slots))  # type: ignore[arg-type]
         if not self.add_rule(rule):
@@ -316,146 +364,60 @@ def _emit(node: _Node, rng: random.Random, out: list[_Node]) -> None:
     out.append(node)
 
 
-# weights favour the shapes that admit the scarcer corruption kinds
-_SIDE_FLAVORS: tuple[tuple[str, float], ...] = (
-    ("xor_bare", 3.0),
-    ("xor_ante_bwd", 2.0),
-    ("or_cons_fwd", 2.5),
-    ("and_ante_bwd", 2.0),
-    ("and_cons_bwd", 1.5),
-    ("impl_fwd", 1.5),
-    ("impl_bwd", 1.0),
-    ("and_cons_fwd", 1.0),
-    ("or_ante_fwd", 1.0),
-    ("xor_ante_fwd", 1.0),
-)
+def _split(state: State) -> tuple[list[FactId], list[FactId]]:
+    """The known facts of ``state``, in fact order, as (true ones, false ones)."""
+    known = state.literals()
+    return [f for f, v in known if v], [f for f, v in known if not v]
 
 
 def _side_step(builder: _Builder, state: State,
                ahead: set[FactId]) -> Optional[tuple[Rule, Literal]]:
-    """One step over established facts whose fresh conclusion nothing consumes.
-
-    ``ahead`` holds the facts later steps mention; corruption targets picked
-    outside it stay inert downstream, so those are preferred.
-    """
+    """One step over established facts whose fresh conclusion nothing consumes,
+    drawn from ``_SIDE_ROWS``. ``ahead`` holds the facts later steps mention;
+    corruption targets picked outside it stay inert downstream, so the
+    retired pools prefer those."""
     rng = builder.rng
-    known = [(f, bool(state.value_of(f))) for f in sorted(state.facts())]
-    if not known or builder.budget_left() <= 0:
+    trues, falses = _split(state)
+    if not (trues or falses) or builder.budget_left() <= 0:
         return None
-    trues = [f for f, v in known if v]
-    falses = [f for f, v in known if not v]
-    retired_t = [f for f in trues if f not in ahead]
-    retired_f = [f for f in falses if f not in ahead]
+    known = sorted(trues + falses)
+    pools = (trues, falses, [f for f in trues if f not in ahead] or trues,
+             [f for f in falses if f not in ahead] or falses, known, falses, known)
 
-    feasible = {"xor_bare"}
-    if trues:
-        feasible |= {"impl_fwd", "and_cons_fwd", "or_ante_fwd"}
-    if falses:
-        feasible |= {"impl_bwd", "xor_ante_bwd", "and_cons_bwd"}
-    if trues and falses:
-        feasible |= {"or_cons_fwd", "and_ante_bwd", "xor_ante_fwd"}
-
-    # a weighted draw without replacement, one flavour at a time, up to the
-    # first that builds
-    pool = [(f, w) for f, w in _SIDE_FLAVORS if f in feasible]
-    while pool:
-        pick = rng.choices(range(len(pool)), weights=[w for _, w in pool], k=1)[0]
-        made = _make_side(builder, pool.pop(pick)[0], trues, falses, known,
-                          retired_t or trues, retired_f or falses)
-        if made is not None:
-            return made
+    # weighted draws without replacement, up to the first row that builds
+    rows = list(_FEASIBLE_SIDE_ROWS[bool(trues), bool(falses)])
+    while rows:
+        row = rows.pop(rng.choices(range(len(rows)), weights=[r.weight for r in rows], k=1)[0])
+        template = row.patterns[0].template
+        slots: list[Optional[FactId]] = [None] * TEMPLATES[template][0]
+        for slot, pool in row.draws:
+            left = [f for f in pools[pool] if f not in slots]
+            if pool in (_TRUE_OR_FALSE, _TRUE_OR_ANY):
+                true_left = [f for f in trues if f not in slots]
+                if true_left and (not left or rng.random() < 0.7):
+                    left = true_left
+            if not left:
+                break
+            slots[slot] = rng.choice(left)
+        else:
+            slot, value = row.derived[tuple(state.holds(Literal(slots[s], True))
+                                            for s, _ in row.patterns[0].premises)]
+            conclusion = Literal(builder.fresh_fact(value), value)
+            slots[slot] = conclusion.fact
+            rule = Rule(template, tuple(slots))  # type: ignore[arg-type]
+            builder.add_rule(rule)  # accepted: the fresh fact makes the rule new
+            return rule, conclusion
     return None
 
 
-def _make_side(builder: _Builder, flavor: str, trues: list[FactId],
-               falses: list[FactId], known: list[tuple[FactId, bool]],
-               retired_t: list[FactId], retired_f: list[FactId],
-               ) -> Optional[tuple[Rule, Literal]]:
+def _plant_spare_impls(builder: _Builder, state: State, count: int, distractors: int) -> None:
+    """Implication rules no step cites, satisfied by the intended model: ``count``
+    alternating a true consequent under an unassigned antecedent and a false
+    antecedent paired with a true consequent, then ``distractors`` of the latter."""
     rng = builder.rng
-    if flavor == "xor_bare":
-        # prefer a true source: its corruption sites are scarcer
-        if trues and (not falses or rng.random() < 0.7):
-            x, v = rng.choice(trues), True
-        else:
-            x, v = rng.choice(falses), False
-        y = builder.fresh_fact(not v)
-        rule, concl = Rule(RuleTemplate.XOR_BARE, (x, y)), Literal(y, not v)
-    elif flavor == "impl_fwd":
-        x = rng.choice(trues)
-        y = builder.fresh_fact(True)
-        rule, concl = Rule(RuleTemplate.IMPL, (x, y)), Literal(y, True)
-    elif flavor == "impl_bwd":
-        x = rng.choice(falses)
-        y = builder.fresh_fact(False)
-        rule, concl = Rule(RuleTemplate.IMPL, (y, x)), Literal(y, False)
-    elif flavor == "or_cons_fwd":
-        x, b = rng.choice(trues), rng.choice(retired_f)
-        if x == b:
-            return None
-        y = builder.fresh_fact(True)
-        rule, concl = Rule(RuleTemplate.OR_CONS, (x, b, y)), Literal(y, True)
-    elif flavor == "and_ante_bwd":
-        a, c = rng.choice(retired_t), rng.choice(falses)
-        if a == c:
-            return None
-        y = builder.fresh_fact(False)
-        rule, concl = Rule(RuleTemplate.AND_ANTE, (a, y, c)), Literal(y, False)
-    elif flavor == "and_cons_fwd":
-        pool = [f for f in trues]
-        x = rng.choice(pool)
-        others = [f for f in trues if f != x]
-        if not others:
-            return None
-        z = rng.choice(others)
-        y = builder.fresh_fact(True)
-        rule, concl = Rule(RuleTemplate.AND_CONS, (x, y, z)), Literal(y, True)
-    elif flavor == "or_ante_fwd":
-        x = rng.choice(trues)
-        pool = [f for f, _ in known if f != x]
-        if not pool:
-            return None
-        b = rng.choice(pool)
-        y = builder.fresh_fact(True)
-        rule, concl = Rule(RuleTemplate.OR_ANTE, (x, b, y)), Literal(y, True)
-    elif flavor == "and_cons_bwd":
-        b = rng.choice(falses)
-        pool = [f for f, _ in known if f != b]
-        if not pool:
-            return None
-        x = rng.choice(pool)
-        y = builder.fresh_fact(False)
-        rule, concl = Rule(RuleTemplate.AND_CONS, (y, b, x)), Literal(y, False)
-    elif flavor == "xor_ante_bwd":
-        c = rng.choice(falses)
-        pool = [(f, v) for f, v in known if f != c]
-        true_pool = [(f, v) for f, v in pool if v]
-        if true_pool and rng.random() < 0.7:
-            pool = true_pool
-        if not pool:
-            return None
-        b, w = rng.choice(pool)
-        y = builder.fresh_fact(w)
-        rule, concl = Rule(RuleTemplate.XOR_ANTE, (y, b, c)), Literal(y, w)
-    else:  # xor_ante_fwd
-        x, b = rng.choice(trues), rng.choice(falses)
-        y = builder.fresh_fact(True)
-        rule, concl = Rule(RuleTemplate.XOR_ANTE, (x, b, y)), Literal(y, True)
-
-    # every side rule holds the fresh fact y, so its fact set is new and
-    # add_rule accepts it
-    builder.add_rule(rule)
-    return rule, concl
-
-
-def _plant_spare_impls(builder: _Builder, state: State, count: int) -> None:
-    """Implication rules no step cites, satisfied by the intended model: a
-    true consequent under an unassigned antecedent, and a false antecedent
-    paired with a true consequent."""
-    rng = builder.rng
-    trues = [f for f in sorted(state.facts()) if state.value_of(f) is TruthValue.TRUE]
-    falses = [f for f in sorted(state.facts()) if state.value_of(f) is TruthValue.FALSE]
-    for i in range(count):
-        if i % 2 == 0 and trues and builder.budget_left() > 0:
+    trues, falses = _split(state)
+    for i in range(count + distractors):
+        if i < count and i % 2 == 0 and trues and builder.budget_left() > 0:
             x = rng.choice(trues)
             y = builder.fresh_fact(None)
             builder.add_rule(Rule(RuleTemplate.IMPL, (y, x)))
@@ -542,37 +504,24 @@ def _try_build(cfg: SynthesisConfig, rng: random.Random) -> Optional[CorrectChai
     if tokens is None:
         return None
 
-    sequence: list[tuple[Rule, Literal, tuple[Literal, ...]]] = []
+    steps: list[Step] = []
     state = State({l.fact: l.value for l in builder.leaves})
     for pos, token in enumerate(tokens):
         if token is None:
-            ahead: set[FactId] = set()
-            for later in tokens[pos + 1:]:
-                if later is not None:
-                    ahead.update(later.rule.facts())
+            ahead = {f for later in tokens[pos + 1:] if later is not None
+                     for f in later.rule.facts()}
             made = _side_step(builder, state, ahead)
             if made is None:
                 return None
             rule, concl = made
         else:
             rule, concl = token.rule, token.conclusion
-        supports = step_supports(rule, concl.fact, state)
-        sequence.append((rule, concl, supports))
+        steps.append(Step(pos + 1, step_supports(rule, concl.fact, state), rule, concl))
         state = state.with_literal(concl)
 
-    _plant_spare_impls(builder, state, cfg.spare_impl_rules)
-    if cfg.distractor_rules:
-        trues = [f for f in sorted(state.facts()) if state.value_of(f) is TruthValue.TRUE]
-        falses = [f for f in sorted(state.facts()) if state.value_of(f) is TruthValue.FALSE]
-        for _ in range(cfg.distractor_rules):
-            if falses and trues:
-                builder.add_rule(Rule(
-                    RuleTemplate.IMPL, (rng.choice(falses), rng.choice(trues))))
-
-    steps = tuple(Step(i + 1, supports, rule, concl)
-                  for i, (rule, concl, supports) in enumerate(sequence))
+    _plant_spare_impls(builder, state, cfg.spare_impl_rules, cfg.distractor_rules)
     chain = CorrectChain(base_facts=tuple(builder.leaves), rules=tuple(builder.rules),
-                         steps=steps, goal=goal)
+                         steps=tuple(steps), goal=goal)
     cost = min_derivation_cost(chain.rules, chain.base_facts, goal)
     if cost is None or cost < cfg.min_useful_steps:
         return None

@@ -603,6 +603,17 @@ _BAD_INPUTS = {
     "side-min-over-side-max": (_synth("side_min = 5\nside_max = 1\n"), 2,
                                "usage error: "),
     "k-first-zero": (_synth("k_first = 0\n"), 2, "usage error: "),
+    "template-weight-negative": (_synth("template_weight.impl = -1\n"), 2,
+                                 "usage error: template weights"),
+    "p-fresh-nan": (_synth("p_fresh = nan\n"), 2, "usage error: p_fresh nan"),
+    "p-cycle-slot-over-one": (_synth("p_cycle_slot = 7\n"), 2, "usage error: p_cycle_slot 7"),
+    "side-min-negative": (_synth("side_min = -2\n"), 2, "usage error: side_steps (-2, 3)"),
+    "spare-impl-rules-negative": (_synth("spare_impl_rules = -3\n"), 2,
+                                  "usage error: spare_impl_rules -3"),
+    "distractor-rules-negative": (_synth("distractor_rules = -1\n"), 2,
+                                  "usage error: distractor_rules -1"),
+    "min-useful-steps-negative": (_synth("min_useful_steps = -5\n"), 2,
+                                  "usage error: min_useful_steps -5"),
     "pools-list": (_eval_input("--pools", "[1, 2]"), 2, "cannot read pools: "),
     "pools-problems-int": (_eval_input("--pools", '{"problems": 5}'), 2,
                            "cannot read pools: "),
