@@ -214,6 +214,8 @@ def build_corpus_config(args) -> CorpusConfig:
 
 
 def cmd_synth(args) -> int:
+    if args.workers < 1:
+        raise UsageError(f"usage error: --workers {args.workers} must be at least 1")
     cfg = build_corpus_config(args)
     print(f"# seed = {cfg.seed}")
     print(f"# count = {cfg.total_count}")
@@ -279,16 +281,18 @@ def cmd_realize(args) -> int:
 def cmd_eval(args) -> int:
     if not args.corpus and not args.pools and not args.scored:
         raise UsageError("nothing to evaluate: pass --corpus, --scored, and/or --pools")
+    if not 0.0 <= args.threshold <= 1.0:  # NaN fails this too
+        raise UsageError(f"usage error: --threshold {args.threshold} must lie within [0, 1]")
+    try:
+        judge = make_judge(args.judge)
+    except ValueError as exc:
+        raise UsageError(f"usage error: {exc}") from exc
     report_obj: dict = {
         "schema_version": 1,
         "config_digest": _flags_digest("eval", args.judge, args.threshold,
                                        args.include_correct),
     }
     if args.corpus:
-        try:
-            judge = make_judge(args.judge)
-        except ValueError as exc:
-            raise UsageError(f"usage error: {exc}") from exc
         report = evaluate_instances(_corpus(args.corpus), judge,
                                     threshold=args.threshold,
                                     erroneous_only=not args.include_correct)
@@ -310,7 +314,7 @@ def cmd_eval(args) -> int:
         report_obj["pools"] = pool_metrics
     if args.report:
         with _writer(args.report) as fh:
-            json.dump(report_obj, fh, indent=2, sort_keys=True)
+            json.dump(report_obj, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     return EXIT_OK
 

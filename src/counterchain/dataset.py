@@ -37,7 +37,7 @@ from .injection import (
     k_positions,
     verify_first_error,
 )
-from .logic import parse_literal, parse_rule, render_rule
+from .logic import parse_literal, parse_rule, render_literal, render_rule
 from .realize import ContextProfile
 from .synthesis import CorrectChain, Step, SynthesisConfig, synthesize_chain, verify_chain
 
@@ -104,13 +104,17 @@ class InstanceLabels:
 def label_steps(inst: Instance) -> InstanceLabels:
     """Correct-chain steps are all valid; in the erroneous chain the first
     corrupted step and everything after it is invalid."""
+    correct, erroneous = _label_texts(inst)
+    return InstanceLabels(
+        tuple(map(StepLabel, (s.index for s in inst.correct.steps), correct)),
+        tuple(map(StepLabel, (s.index for s in inst.erroneous.steps), erroneous)))
+
+
+def _label_texts(inst: Instance) -> tuple[list[str], list[str]]:
+    """The labels of ``label_steps`` as plain strings, as a record stores them."""
     k = inst.k
-    correct = tuple(StepLabel(s.index, "valid") for s in inst.correct.steps)
-    erroneous = tuple(
-        StepLabel(s.index, "valid" if s.index < k else "invalid")
-        for s in inst.erroneous.steps
-    )
-    return InstanceLabels(correct, erroneous)
+    return (["valid"] * len(inst.correct.steps),
+            ["valid" if s.index < k else "invalid" for s in inst.erroneous.steps])
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +123,9 @@ def label_steps(inst: Instance) -> InstanceLabels:
 
 def _step_to_obj(step: Step) -> dict:
     return {
-        "supports": [str(l) for l in step.supports],
+        "supports": [render_literal(l) for l in step.supports],
         "rule": render_rule(step.rule),
-        "conclusion": str(step.conclusion),
+        "conclusion": render_literal(step.conclusion),
     }
 
 
@@ -162,11 +166,11 @@ _DERIVED_KEYS = ("error_group", "correct_labels", "erroneous_labels",
 
 def _derived_fields(inst: Instance) -> dict:
     """Record fields that follow from the error type, the step lists and k."""
-    labels = label_steps(inst)
+    correct_labels, erroneous_labels = _label_texts(inst)
     return {
         "error_group": inst.error_type.group.value,
-        "correct_labels": [l.label for l in labels.correct],
-        "erroneous_labels": [l.label for l in labels.erroneous],
+        "correct_labels": correct_labels,
+        "erroneous_labels": erroneous_labels,
         "reached_goal_polarity": inst.reached_goal_polarity,
     }
 
@@ -187,8 +191,8 @@ def serialize_instance(inst: Instance) -> str:
         "schema_version": SCHEMA_VERSION,
         "id": inst.id,
         "seed": inst.seed,
-        "goal": str(inst.goal),
-        "base_facts": [str(l) for l in inst.base_facts],
+        "goal": render_literal(inst.goal),
+        "base_facts": [render_literal(l) for l in inst.base_facts],
         "rules": [render_rule(r) for r in inst.rules],
         "correct_steps": [_step_to_obj(s) for s in inst.correct.steps],
         "erroneous_steps": [_step_to_obj(s) for s in inst.erroneous.steps],
@@ -530,9 +534,10 @@ def _worker_build(args: tuple[int, str],
 def generate_instances(cfg: CorpusConfig, workers: int = 1,
                        ) -> Iterator[tuple[str, str, int, tuple[str, ...], dict[str, int]]]:
     """Yields (line, error type, step count, templates, rejection reasons) in
-    index order."""
+    index order. The pool holds at most one process per instance."""
     schedule = type_schedule(cfg)
     tasks = [(i, schedule[i].value) for i in range(cfg.total_count)]
+    workers = min(workers, cfg.total_count)
     if workers <= 1:
         _init_worker(cfg)
         for task in tasks:

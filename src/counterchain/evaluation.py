@@ -296,11 +296,15 @@ def evaluate_instances(instances: Iterable[Instance], judge,
 
 
 def make_judge(spec: str) -> object:
-    """Built-in judges by name: ``oracle`` or ``constant:<v>``."""
+    """Built-in judges by name: ``oracle`` or ``constant:<v>``, a score ``v``
+    within [0, 1]."""
     if spec == "oracle":
         return OracleJudge()
     if spec.startswith("constant:"):
-        return ConstantJudge(float(spec.split(":", 1)[1]))
+        value = float(spec.split(":", 1)[1])
+        if not 0.0 <= value <= 1.0:  # NaN fails this too
+            raise ValueError(f"constant judge score {value} must lie within [0, 1]")
+        return ConstantJudge(value)
     raise ValueError(f"unknown judge spec: {spec!r}")
 
 

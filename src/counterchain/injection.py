@@ -24,10 +24,10 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .logic import Literal, Rule, RuleTemplate, State, TruthValue
-from .prover import (Direction, InferencePattern, Status, match_pattern,
+from .logic import Literal, Rule, RuleTemplate
+from .prover import (_CATALOG, Direction, InferencePattern, Status, match_pattern,
                      patterns_concluding_fact)
-from .synthesis import CorrectChain, Prefix, Step, step_supports, topological_order
+from .synthesis import CorrectChain, Prefix, Step, known_supports, topological_order
 
 if TYPE_CHECKING:  # pragma: no cover
     from .realize import ContextProfile
@@ -191,8 +191,8 @@ def _dual_reading(chain: CorrectChain, k: int, rng: random.Random) -> Step:
         wrong = Literal(step.rule.slots[1], True)
     else:
         wrong = Literal(step.rule.slots[0], False)
-    values = {l.fact: l.value for l in step.supports if l.fact != wrong.fact}
-    return Step(k, step_supports(step.rule, wrong.fact, State(values)), step.rule, wrong)
+    known = {l.fact: l for l in step.supports if l.fact != wrong.fact}
+    return Step(k, known_supports(step.rule, wrong.fact, known), step.rule, wrong)
 
 
 def _vacuous(chain: CorrectChain, k: int, rng: random.Random) -> Step:
@@ -229,9 +229,9 @@ def _rewire_to_future(chain: CorrectChain, k: int, rng: random.Random) -> Step:
     """Step k citing a later step's conclusion in place of an open slot."""
     step = chain.steps[k - 1]
     _, future = rng.choice(_cycle_sites(chain, k))
-    values = {l.fact: l.value for l in step.supports}
-    values[future.fact] = future.value
-    return Step(k, step_supports(step.rule, step.conclusion.fact, State(values)),
+    known = {l.fact: l for l in step.supports}
+    known[future.fact] = future
+    return Step(k, known_supports(step.rule, step.conclusion.fact, known),
                 step.rule, step.conclusion)
 
 
@@ -369,39 +369,40 @@ def recompute_downstream(chain: CorrectChain, corrupted_prefix: Sequence[Step],
     """Re-derive the continuation under the state left by the corrupted prefix.
 
     Each remaining original step re-applies its rule toward the same target
-    fact: first the licensed pattern it originally used, then any other
-    licensed pattern of that rule concluding the same fact. Recomputation is
-    pattern application on the explicit state; the corrupted state may
-    globally contradict the theory and no entailment is consulted.
+    fact, with the first licensed pattern of that rule, in catalog order,
+    that concludes the fact and whose premises hold. Which one fires does not
+    matter: two patterns of a template that conclude one slot with opposite
+    values have premises that cannot hold together, so every pattern that
+    fires derives the same literal. Recomputation is pattern application on
+    the explicit state; the corrupted state may globally contradict the
+    theory and no entailment is consulted.
     """
     if originals is None:
         originals = chain.steps[len(corrupted_prefix):]
-    state = chain.base_state().with_literals(
-        (step.conclusion for step in corrupted_prefix), overwrite=True)
+    # one assignment, each fact's literal: the base facts, overwritten by the
+    # prefix's conclusions
+    known = {l.fact: l for l in chain.base_facts}
+    for step in corrupted_prefix:
+        known[step.conclusion.fact] = step.conclusion
 
     out: list[Step] = []
     next_index = len(corrupted_prefix) + 1
     for original in originals:
         rule = original.rule
-        target = original.conclusion.fact
-        used = _applied_pattern(original)
-        # the originally used pattern first, the others in catalog order
-        candidates = sorted(patterns_concluding_fact(rule, target), key=lambda p: p != used)
-        applied = None
-        for pattern in candidates:
-            if all(state.holds(p) for p in pattern.bind_premises(rule)):
-                applied = pattern
+        slots, target = rule.slots, original.conclusion.fact
+        for applied in _CATALOG[rule.template]:
+            if (slots[applied.derived[0]] == target and
+                    all(known.get(slots[i]) == (slots[i], v) for i, v in applied.premises)):
                 break
-        if applied is None:
+        else:
             raise DownstreamStuck(f"no licensed pattern applies at original step "
                                   f"{original.index}")
-        derived = applied.bind_derived(rule)
-        if state.value_of(derived.fact) is not TruthValue.UNKNOWN:
+        if target in known:
             raise DownstreamStuck(f"original step {original.index} re-derives an "
                                   f"assigned fact")
-        supports = step_supports(rule, target, state)
-        out.append(Step(next_index, supports, rule, derived))
-        state = state.with_literal(derived)
+        derived = Literal(target, applied.derived[1])
+        out.append(Step(next_index, known_supports(rule, target, known), rule, derived))
+        known[target] = derived
         next_index += 1
     return out
 
@@ -457,13 +458,13 @@ def verify_first_error(inst: Instance) -> InstanceReport:
         else:
             failures.extend(row.check(err, prefix))
 
-        # continuation: pattern application over the explicit corrupted state
-        cf_state = prefix.state
-        if not cf_state.holds(corrupted.conclusion):
-            cf_state = cf_state.with_literal(corrupted.conclusion, overwrite=True)
+        # continuation: pattern application over the explicit corrupted
+        # state, one assignment that the corrupted conclusion overwrites
+        values = dict(prefix.values)
+        values[corrupted.conclusion.fact] = corrupted.conclusion.value
         for t in range(k, len(err.steps)):
             step = err.steps[t]
-            if any(not cf_state.holds(l) for l in step.supports):
+            if any(values.get(fact) != value for fact, value in step.supports):
                 failures.append(f"step {t + 1}: support disagrees with the "
                                 f"corrupted state")
                 break
@@ -471,10 +472,10 @@ def verify_first_error(inst: Instance) -> InstanceReport:
                 failures.append(f"step {t + 1}: no licensed pattern under the "
                                 f"corrupted state")
                 break
-            if cf_state.value_of(step.conclusion.fact) is not TruthValue.UNKNOWN:
+            if step.conclusion.fact in values:
                 failures.append(f"step {t + 1}: re-concludes an assigned fact")
                 break
-            cf_state = cf_state.with_literal(step.conclusion)
+            values[step.conclusion.fact] = step.conclusion.value
 
     if err.steps[-1].conclusion.fact != inst.goal.fact:
         failures.append("final step does not target the goal fact")

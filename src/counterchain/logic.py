@@ -176,13 +176,17 @@ class Rule:
     template: RuleTemplate
     slots: tuple[FactId, ...]
 
-    def __post_init__(self):
-        if len(self.slots) != TEMPLATES[self.template][0]:
-            raise RuleShapeError(
-                f"{self.template.value} takes {TEMPLATES[self.template][0]} slots, "
-                f"got {len(self.slots)}")
-        if len(set(self.slots)) != len(self.slots):
+    def __init__(self, template: RuleTemplate, slots: tuple[FactId, ...]):
+        arity = TEMPLATES[template][0]
+        if len(slots) != arity:
+            raise RuleShapeError(f"{template.value} takes {arity} slots, got {len(slots)}")
+        # two or three slots: pairwise comparisons, no set per rule
+        if slots[0] == slots[1] or arity == 3 and slots[2] in (slots[0], slots[1]):
             raise RuleShapeError("rule binds the same fact to multiple slots")
+        # the generated ``__init__`` of a frozen dataclass sets each field
+        # through ``object.__setattr__``, several times slower than filling
+        # the instance dict; equality, hashing and ``replace`` are unchanged
+        self.__dict__.update(template=template, slots=slots)
 
     def facts(self) -> tuple[FactId, ...]:
         """Template slot facts in slot order (A, B[, C])."""
@@ -369,11 +373,37 @@ def render_expr(e: Expr) -> str:
 
 
 def render_rule(r: Rule) -> str:
-    return TEMPLATES[r.template][1].format(*r.slots)
+    return _rule_text(r.template, r.slots)
+
+
+# The render side of the parse caches: a corpus writes the same rule and
+# literal texts many times over. Each text is built from the fact indices,
+# so a cached entry does not depend on which equal key filled it.
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _rule_text(template: RuleTemplate, slots: tuple[FactId, ...]) -> str:
+    return TEMPLATES[template][1].format(*(f"[F{int(f)}]" for f in slots))
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+def render_literal(lit: Literal) -> str:
+    """``str(lit)``, ``[F3]=True``."""
+    fact, value = lit
+    return f"[F{int(fact)}]={bool(value)}"
 
 
 class StateConflictError(ValueError):
     """Raised when an assignment would silently flip an established value."""
+
+
+def assign_literal(values: dict[FactId, bool], lit: Literal) -> None:
+    """Set ``lit`` in a plain assignment, in place; ``StateConflictError``
+    when it would flip an established value. The hot loops fill one dict
+    with this instead of copying a ``State`` per literal."""
+    fact, value = lit
+    current = values.get(fact)
+    if current is not None and current != value:
+        raise StateConflictError(f"{fact} is already {current}, refusing {value}")
+    values[fact] = value
 
 
 class State:
@@ -394,11 +424,11 @@ class State:
     def with_literal(self, lit: Literal, *, overwrite: bool = False) -> "State":
         """Extend with one literal. Flipping an established value requires
         overwrite=True; counterfactual recomputation is the only caller that does."""
-        current = self._assignment.get(lit.fact)
-        if current is not None and current != lit.value and not overwrite:
-            raise StateConflictError(f"{lit.fact} is already {current}, refusing {lit.value}")
         updated = dict(self._assignment)
-        updated[lit.fact] = lit.value
+        if overwrite:
+            updated[lit.fact] = lit.value
+        else:
+            assign_literal(updated, lit)
         return State(updated)
 
     def with_literals(self, lits, *, overwrite: bool = False) -> "State":

@@ -310,15 +310,26 @@ def match_pattern(rule: Rule, supports: Iterable[Literal],
     """
     slots = rule.slots
     fact, value = conclusion
-    known = set(supports)
-    for pattern in _CATALOG[rule.template]:
-        slot, derived = pattern.derived
-        if slots[slot] != fact or derived != value:
-            continue
-        # a Literal is a (fact, value) tuple, so a plain tuple finds it
-        if all((slots[i], v) in known for i, v in pattern.premises):
+    if fact not in slots:
+        return None
+    # a Literal is a (fact, value) tuple, so a plain tuple finds it; a step
+    # lists a support or two, so a tuple scan beats building a set
+    known = tuple(supports)
+    for pattern in _CONCLUDING[rule.template].get((slots.index(fact), value), ()):
+        for i, v in pattern.premises:
+            if (slots[i], v) not in known:
+                break
+        else:
             return pattern
     return None
+
+
+# per template and (derived slot, derived value), the catalog patterns that
+# derive it, in catalog order
+_CONCLUDING: dict[RuleTemplate, dict[tuple[int, bool], tuple[InferencePattern, ...]]] = {
+    template: {(slot, value): tuple(p for p in patterns if p.derived == (slot, value))
+               for slot in range(TEMPLATES[template][0]) for value in (False, True)}
+    for template, patterns in _CATALOG.items()}
 
 
 def patterns_concluding_fact(rule: Rule, fact: FactId) -> tuple[InferencePattern, ...]:

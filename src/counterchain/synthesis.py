@@ -15,26 +15,32 @@ its step runs. On top of the goal tree the generator weaves in:
 Synthesis itself proves nothing: ``dataset.build_instance`` runs
 ``verify_chain`` once, on the chain it stores, so no prover work goes to the
 candidates that are drawn and then discarded.
+
+The inner loops run on plain values: one dict holds a walk's assignment, the
+shapes and side-step rows are unpacked at import, and each weighted draw or
+two-item shuffle takes exactly the RNG draws ``Random.choices`` or
+``Random.shuffle`` would take, so a chain is the same function of its seed.
 """
 
 from __future__ import annotations
 
+import bisect
+import collections
 import functools
 import heapq
 import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .logic import TEMPLATES, FactId, Literal, Rule, RuleTemplate, State, TruthValue
+from .logic import (TEMPLATES, FactId, Literal, Rule, RuleTemplate, State,
+                    assign_literal)
 from .prover import (
     _CATALOG,
     UNIVERSE_CAP,
     InferencePattern,
-    Status,
     Theory,
-    licensed_patterns,
     match_pattern,
     model_table,
     theory_for,
@@ -58,6 +64,14 @@ class Step:
     supports: tuple[Literal, ...]
     rule: Rule
     conclusion: Literal
+
+    def __init__(self, index: int, supports: tuple[Literal, ...], rule: Rule,
+                 conclusion: Literal):
+        # the generated ``__init__`` of a frozen dataclass sets each field
+        # through ``object.__setattr__``, several times slower than filling
+        # the instance dict; equality, hashing and ``replace`` are unchanged
+        self.__dict__.update(index=index, supports=supports, rule=rule,
+                             conclusion=conclusion)
 
     def support_facts(self) -> frozenset[FactId]:
         return frozenset(l.fact for l in self.supports)
@@ -102,14 +116,30 @@ class CorrectChain:
 
 def step_supports(rule: Rule, conclusion_fact: FactId, state: State) -> tuple[Literal, ...]:
     """Known rule facts, in slot order, excluding the concluded fact."""
-    out = []
-    for fact in rule.facts():
-        if fact == conclusion_fact:
-            continue
-        value = state.value_of(fact)
-        if value is not TruthValue.UNKNOWN:
-            out.append(Literal(fact, bool(value)))
-    return tuple(out)
+    values = state._assignment
+    return known_supports(rule, conclusion_fact,
+                          {f: Literal(f, values[f]) for f in rule.slots if f in values})
+
+
+def known_supports(rule: Rule, conclusion_fact: FactId,
+                   known: Mapping[FactId, Literal]) -> tuple[Literal, ...]:
+    """``step_supports`` where ``known`` maps each assigned fact to its
+    literal, so no literal is built."""
+    return tuple([known[f] for f in rule.slots if f != conclusion_fact and f in known])
+
+
+def _draw(rng: random.Random, cum_weights: Sequence[float]) -> int:
+    """The index ``rng.choices(range(n), cum_weights=cum_weights)`` picks:
+    ``Random.choices``' own arithmetic on one ``rng.random()``, so the same
+    index and the same RNG state, without the population or the result list."""
+    return bisect.bisect(cum_weights, rng.random() * (cum_weights[-1] + 0.0),
+                         0, len(cum_weights) - 1)
+
+
+def _swaps_two(rng: random.Random) -> bool:
+    """Whether ``rng.shuffle`` of a two-item list would swap it: the one draw
+    it makes, ``_randbelow(2)``, is 0."""
+    return rng._randbelow(2) == 0
 
 
 @dataclass(frozen=True)
@@ -155,14 +185,15 @@ class SynthesisConfig:
                 raise ValueError(f"{name} {getattr(self, name)} is negative")
 
     @functools.cached_property
-    def shape_pools(self) -> dict[bool, tuple[tuple[InferencePattern, ...], list[float]]]:
+    def shape_pools(self) -> dict[bool, tuple[tuple["_Shape", ...], list[float]]]:
         """Per concluded value: the goal-expansion shapes whose template has
         positive weight, in catalog order, and their cumulative weights. Every
         template concludes both values, so neither pool is empty."""
         weights = dict(self.template_weights)
         pools = {}
         for value, shapes in ((True, _SHAPES_TRUE), (False, _SHAPES_FALSE)):
-            pool = tuple(s for s in shapes if weights.get(s.template, 0.0) > 0.0)
+            pool = tuple(_Shape.of(s) for s in shapes
+                         if weights.get(s.template, 0.0) > 0.0)
             pools[value] = (pool, list(itertools.accumulate(weights[s.template]
                                                             for s in pool)))
         return pools
@@ -170,6 +201,31 @@ class SynthesisConfig:
 
 def _pick(*choices: tuple[RuleTemplate, int]) -> tuple[InferencePattern, ...]:
     return tuple(_CATALOG[template][i] for template, i in choices)
+
+
+class _Shape(NamedTuple):
+    """A goal-expansion direction unpacked for ``expand``: ``passive`` lists
+    the slots that are neither premise nor derived, and ``forced`` the value
+    a fact bound there must intend, if the rule constrains it."""
+
+    template: RuleTemplate
+    arity: int
+    derived_slot: int
+    premises: tuple[tuple[int, bool], ...]
+    passive: tuple[int, ...]
+    forced: Optional[bool]
+
+    @classmethod
+    def of(cls, pattern: InferencePattern) -> "_Shape":
+        template, (slot, value) = pattern.template, pattern.derived
+        arity = TEMPLATES[template][0]
+        premise_slots = {s for s, _ in pattern.premises}
+        # ``expand`` draws a premise order as a shuffle of at most two
+        assert len(premise_slots) == len(pattern.premises) <= 2
+        forced = (True if template is RuleTemplate.AND_CONS and value else
+                  False if template is RuleTemplate.OR_ANTE and not value else None)
+        passive = tuple(s for s in range(arity) if s != slot and s not in premise_slots)
+        return cls(template, arity, slot, pattern.premises, passive, forced)
 
 
 # the derivation directions goal expansion draws from, by concluded value
@@ -213,10 +269,21 @@ class _SideRow:
     patterns: tuple[InferencePattern, ...]
     draws: tuple[tuple[int, int], ...]
     derived: dict[tuple[bool, ...], tuple[int, bool]] = field(init=False)
+    # unpacked for ``_side_step``: the template, its arity, the premise slots,
+    # and per draw (slot, pool, whether the pool leans to a true fact)
+    template: RuleTemplate = field(init=False)
+    arity: int = field(init=False)
+    premise_slots: tuple[int, ...] = field(init=False)
+    plan: tuple[tuple[int, int, bool], ...] = field(init=False)
 
     def __post_init__(self):
         # a row's patterns share their premise slots
         self.derived = {tuple(v for _, v in p.premises): p.derived for p in self.patterns}
+        self.template = self.patterns[0].template
+        self.arity = TEMPLATES[self.template][0]
+        self.premise_slots = tuple(s for s, _ in self.patterns[0].premises)
+        self.plan = tuple((slot, pool, pool in (_TRUE_OR_FALSE, _TRUE_OR_ANY))
+                          for slot, pool in self.draws)
 
 
 # the side steps; weights favour shapes that admit the scarcer corruption kinds
@@ -235,18 +302,27 @@ _SIDE_ROWS = (
     _SideRow(1.0, _pick((RuleTemplate.XOR_ANTE, 0)), ((0, _TRUE), (1, _FALSE))),
 )
 
-# per (a fact is true, a fact is false): the rows whose every pool has a fact
-_FEASIBLE_SIDE_ROWS = {
-    (t, f): tuple(row for row in _SIDE_ROWS
-                  if all((t, f, t, f, True, True, True)[pool] for _, pool in row.draws))
-    for t, f in ((True, False), (False, True), (True, True))}
+
+def _feasible_rows(t: bool, f: bool) -> tuple[tuple[_SideRow, ...], list[float]]:
+    rows = tuple(row for row in _SIDE_ROWS
+                 if all((t, f, t, f, True, True, True)[pool] for _, pool in row.draws))
+    return rows, list(itertools.accumulate(row.weight for row in rows))
 
 
-@dataclass
-class _Node:
+# per (a fact is true, a fact is false): the rows whose every pool has a fact,
+# and their cumulative weights
+_FEASIBLE_SIDE_ROWS = {(t, f): _feasible_rows(t, f)
+                       for t, f in ((True, False), (False, True), (True, True))}
+
+
+class _Node(NamedTuple):
     rule: Rule
     conclusion: Literal
-    children: list["_Node"] = field(default_factory=list)
+    children: list["_Node"]
+
+
+# fresh facts by index; ``SynthesisConfig`` keeps ``max_facts`` within the cap
+_FACTS = tuple(FactId(i) for i in range(UNIVERSE_CAP))
 
 
 class _OutOfFacts(Exception):
@@ -264,14 +340,17 @@ class _Builder:
         self.next_fact = 0
         self.intended: dict[FactId, bool] = {}
         self.leaves: list[Literal] = []
+        # the leaves again, split by value: (false ones, true ones)
+        self.leaves_by_value: tuple[list[Literal], list[Literal]] = ([], [])
         self.rules: list[Rule] = []
-        self.rule_keys: set[tuple] = set()
+        self.rule_keys: set[frozenset[FactId]] = set()
 
     def fresh_fact(self, value: Optional[bool]) -> FactId:
-        if self.next_fact >= self.cfg.max_facts:
+        index = self.next_fact
+        if index >= self.cfg.max_facts:
             raise _OutOfFacts()
-        fact = FactId(self.next_fact)
-        self.next_fact += 1
+        fact = _FACTS[index]
+        self.next_fact = index + 1
         if value is not None:
             self.intended[fact] = value
         return fact
@@ -280,7 +359,7 @@ class _Builder:
         return self.cfg.max_facts - self.next_fact
 
     def add_rule(self, rule: Rule) -> bool:
-        key = frozenset(rule.facts())
+        key = frozenset(rule.slots)
         if key in self.rule_keys:
             return False
         self.rule_keys.add(key)
@@ -288,111 +367,123 @@ class _Builder:
         return True
 
     def make_leaf(self, value: bool, taken: set[FactId]) -> Literal:
-        reusable = [l for l in self.leaves if l.value == value and l.fact not in taken]
+        same = self.leaves_by_value[value]
+        reusable = [l for l in same if l.fact not in taken]
         if reusable and (self.rng.random() > self.cfg.p_fresh or self.budget_left() <= 0):
             return self.rng.choice(reusable)
         lit = Literal(self.fresh_fact(value), value)
         self.leaves.append(lit)
+        same.append(lit)
         return lit
 
-    def _bind_passive(self, shape: InferencePattern, goal: Literal,
-                      parent: Optional[Literal], taken: set[FactId]) -> FactId:
+    def _bind_passive(self, forced: Optional[bool], parent: Optional[Literal],
+                      taken: set[FactId]) -> FactId:
         # a slot the rule constrains (given this step's intended values) may
         # only take a fact of the forced value, or a fresh one
-        forced: Optional[bool] = None
-        if shape.template is RuleTemplate.AND_CONS and shape.derived[1]:
-            forced = True
-        if shape.template is RuleTemplate.OR_ANTE and not shape.derived[1]:
-            forced = False
-
+        rng = self.rng
         if (parent is not None and parent.fact not in taken
                 and (forced is None or forced == parent.value)
-                and self.rng.random() < self.cfg.p_cycle_slot):
+                and rng.random() < self.cfg.p_cycle_slot):
             return parent.fact
 
-        pool = [f for f, v in self.intended.items()
-                if f not in taken and (forced is None or v == forced)]
-        if pool and (self.rng.random() < 0.5 or self.budget_left() <= 0):
-            return self.rng.choice(pool)
+        if forced is None:
+            pool = [f for f in self.intended if f not in taken]
+        else:
+            pool = [f for f, v in self.intended.items() if v == forced and f not in taken]
+        if pool and (rng.random() < 0.5 or self.budget_left() <= 0):
+            return rng.choice(pool)
         return self.fresh_fact(forced)
 
     def expand(self, goal: Literal, budget: int,
                parent: Optional[Literal]) -> tuple[_Node, int]:
         """Create the step concluding ``goal``; returns (node, steps spent)."""
         rng = self.rng
-        pool, cum_weights = self.cfg.shape_pools[goal.value]
-        shape = rng.choices(pool, cum_weights=cum_weights, k=1)[0]
-        slots: list[Optional[FactId]] = [None] * TEMPLATES[shape.template][0]
-        slots[shape.derived[0]] = goal.fact
+        shapes, cum_weights = self.cfg.shape_pools[goal.value]
+        template, arity, derived_slot, premises, passive, forced = \
+            shapes[_draw(rng, cum_weights)]
+        slots: list[Optional[FactId]] = [None] * arity
+        slots[derived_slot] = goal.fact
         taken = {goal.fact}
 
+        # which premises become subgoals: in a shuffled order, each but the
+        # last with p 0.35, the last always, while steps remain
         remaining = budget - 1
-        order = list(range(len(shape.premises)))
-        rng.shuffle(order)
-        expand_flags = [False] * len(shape.premises)
-        for pos, i in enumerate(order):
-            expand_flags[i] = remaining > 0 and (pos == len(order) - 1 or rng.random() < 0.35)
+        if len(premises) == 1:
+            expand_flags = (remaining > 0,)
+        else:
+            first, last = (1, 0) if _swaps_two(rng) else (0, 1)
+            expand_flags = [False, False]
+            if remaining > 0:
+                expand_flags[first] = rng.random() < 0.35
+                expand_flags[last] = True
 
         children: list[_Node] = []
-        for i, (slot, value) in enumerate(shape.premises):
-            if expand_flags[i] and remaining > 0:
-                lit = Literal(self.fresh_fact(value), value)
-                node, used = self.expand(lit, remaining, goal)
+        for (slot, value), flag in zip(premises, expand_flags):
+            if flag and remaining > 0:
+                fact = self.fresh_fact(value)
+                node, used = self.expand(Literal(fact, value), remaining, goal)
                 remaining -= used
                 children.append(node)
             else:
-                lit = self.make_leaf(value, taken)
-            slots[slot] = lit.fact
-            taken.add(lit.fact)
+                fact = self.make_leaf(value, taken).fact
+            slots[slot] = fact
+            taken.add(fact)
 
-        for slot, bound in enumerate(slots):
-            if bound is None:
-                slots[slot] = self._bind_passive(shape, goal, parent, taken)
-                taken.add(slots[slot])
+        for slot in passive:
+            fact = self._bind_passive(forced, parent, taken)
+            slots[slot] = fact
+            taken.add(fact)
 
-        rule = Rule(shape.template, tuple(slots))  # type: ignore[arg-type]
+        rule = Rule(template, tuple(slots))  # type: ignore[arg-type]
         if not self.add_rule(rule):
             raise _Retry()
         return _Node(rule, goal, children), budget - remaining
 
 
 def _emit(node: _Node, rng: random.Random, out: list[_Node]) -> None:
-    children = list(node.children)
-    rng.shuffle(children)
+    """Post-order, each node's children in shuffled order (at most two)."""
+    children = node.children
+    if len(children) == 2 and _swaps_two(rng):
+        children = [children[1], children[0]]
     for child in children:
         _emit(child, rng, out)
     out.append(node)
 
 
-def _split(state: State) -> tuple[list[FactId], list[FactId]]:
-    """The known facts of ``state``, in fact order, as (true ones, false ones)."""
-    known = state.literals()
-    return [f for f, v in known if v], [f for f, v in known if not v]
+def _split(values: Mapping[FactId, bool]) -> tuple[list[FactId], list[FactId]]:
+    """The known facts of an assignment, in fact order, as (true ones, false ones)."""
+    known = sorted(values)
+    return [f for f in known if values[f]], [f for f in known if not values[f]]
 
 
-def _side_step(builder: _Builder, state: State,
+def _side_step(builder: _Builder, values: Mapping[FactId, bool],
                ahead: set[FactId]) -> Optional[tuple[Rule, Literal]]:
-    """One step over established facts whose fresh conclusion nothing consumes,
-    drawn from ``_SIDE_ROWS``. ``ahead`` holds the facts later steps mention;
-    corruption targets picked outside it stay inert downstream, so the
-    retired pools prefer those."""
+    """One step over the established facts ``values`` whose fresh conclusion
+    nothing consumes, drawn from ``_SIDE_ROWS``. ``ahead`` holds the facts
+    later steps mention; corruption targets picked outside it stay inert
+    downstream, so the retired pools prefer those."""
     rng = builder.rng
-    trues, falses = _split(state)
-    if not (trues or falses) or builder.budget_left() <= 0:
+    if not values or builder.budget_left() <= 0:
         return None
-    known = sorted(trues + falses)
-    pools = (trues, falses, [f for f in trues if f not in ahead] or trues,
-             [f for f in falses if f not in ahead] or falses, known, falses, known)
+    trues, falses = _split(values)
+    assigned = sorted(values)
+    # by pool; the retired pools are built when a row first draws from them
+    pools: list[Optional[list[FactId]]] = [trues, falses, None, None, assigned, falses,
+                                           assigned]
 
     # weighted draws without replacement, up to the first row that builds
-    rows = list(_FEASIBLE_SIDE_ROWS[bool(trues), bool(falses)])
+    rows, cum_weights = _FEASIBLE_SIDE_ROWS[bool(trues), bool(falses)]
     while rows:
-        row = rows.pop(rng.choices(range(len(rows)), weights=[r.weight for r in rows], k=1)[0])
-        template = row.patterns[0].template
-        slots: list[Optional[FactId]] = [None] * TEMPLATES[template][0]
-        for slot, pool in row.draws:
-            left = [f for f in pools[pool] if f not in slots]
-            if pool in (_TRUE_OR_FALSE, _TRUE_OR_ANY):
+        pick = _draw(rng, cum_weights)
+        row = rows[pick]
+        slots: list[Optional[FactId]] = [None] * row.arity
+        for slot, pool, leans_true in row.plan:
+            facts = pools[pool]
+            if facts is None:
+                of_value = trues if pool == _RETIRED_TRUE else falses
+                facts = pools[pool] = [f for f in of_value if f not in ahead] or of_value
+            left = [f for f in facts if f not in slots]
+            if leans_true:
                 true_left = [f for f in trues if f not in slots]
                 if true_left and (not left or rng.random() < 0.7):
                     left = true_left
@@ -400,22 +491,24 @@ def _side_step(builder: _Builder, state: State,
                 break
             slots[slot] = rng.choice(left)
         else:
-            slot, value = row.derived[tuple(state.holds(Literal(slots[s], True))
-                                            for s, _ in row.patterns[0].premises)]
+            slot, value = row.derived[tuple(values[slots[s]] for s in row.premise_slots)]
             conclusion = Literal(builder.fresh_fact(value), value)
             slots[slot] = conclusion.fact
-            rule = Rule(template, tuple(slots))  # type: ignore[arg-type]
+            rule = Rule(row.template, tuple(slots))  # type: ignore[arg-type]
             builder.add_rule(rule)  # accepted: the fresh fact makes the rule new
             return rule, conclusion
+        rows = rows[:pick] + rows[pick + 1:]
+        cum_weights = list(itertools.accumulate(r.weight for r in rows))
     return None
 
 
-def _plant_spare_impls(builder: _Builder, state: State, count: int, distractors: int) -> None:
+def _plant_spare_impls(builder: _Builder, values: Mapping[FactId, bool], count: int,
+                       distractors: int) -> None:
     """Implication rules no step cites, satisfied by the intended model: ``count``
     alternating a true consequent under an unassigned antecedent and a false
     antecedent paired with a true consequent, then ``distractors`` of the latter."""
     rng = builder.rng
-    trues, falses = _split(state)
+    trues, falses = _split(values)
     for i in range(count + distractors):
         if i < count and i % 2 == 0 and trues and builder.budget_left() > 0:
             x = rng.choice(trues)
@@ -424,6 +517,12 @@ def _plant_spare_impls(builder: _Builder, state: State, count: int, distractors:
         elif falses and trues:
             a, b = rng.choice(falses), rng.choice(trues)
             builder.add_rule(Rule(RuleTemplate.IMPL, (a, b)))
+
+
+# per template, each catalog pattern as (premise count, derived slot, derived
+# value, premises), so ``min_derivation_cost`` reads plain ints and tuples
+_CODED_CATALOG = {template: tuple((len(p.premises), *p.derived, p.premises) for p in patterns)
+                  for template, patterns in _CATALOG.items()}
 
 
 def min_derivation_cost(rules: Iterable[Rule], base: Iterable[Literal],
@@ -440,20 +539,20 @@ def min_derivation_cost(rules: Iterable[Rule], base: Iterable[Literal],
     # literals are ints, 2 * fact index + value, which hash and order cheaply;
     # per premise, the pattern instances waiting on it, each as a mutable
     # [unsettled premises, settled premise cost, derived literal]
-    waiting: dict[int, list[list[int]]] = {}
+    waiting: dict[int, list[list[int]]] = collections.defaultdict(list)
     for rule in rules:
-        slots = [2 * f.index for f in rule.slots]
-        for pattern in licensed_patterns(rule):
-            slot, value = pattern.derived
-            entry = [len(pattern.premises), 0, slots[slot] + value]
-            for slot, value in pattern.premises:
-                waiting.setdefault(slots[slot] + value, []).append(entry)
-    target = 2 * goal.fact.index + goal.value
-    heap = [(0, 2 * lit.fact.index + lit.value) for lit in base]
+        keys = [2 * f for f in rule.slots]
+        for count, slot, value, premises in _CODED_CATALOG[rule.template]:
+            entry = [count, 0, keys[slot] + value]
+            for slot, value in premises:
+                waiting[keys[slot] + value].append(entry)
+    target = 2 * goal[0] + goal[1]
+    heap = [(0, 2 * fact + value) for fact, value in base]
     heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     settled: set[int] = set()
     while heap:
-        cost, lit = heapq.heappop(heap)
+        cost, lit = pop(heap)
         if lit in settled:
             continue
         if lit == target:
@@ -463,7 +562,7 @@ def min_derivation_cost(rules: Iterable[Rule], base: Iterable[Literal],
             entry[0] -= 1
             entry[1] += cost
             if entry[0] == 0 and entry[2] not in settled:
-                heapq.heappush(heap, (1 + entry[1], entry[2]))
+                push(heap, (1 + entry[1], entry[2]))
     return None
 
 
@@ -504,22 +603,26 @@ def _try_build(cfg: SynthesisConfig, rng: random.Random) -> Optional[CorrectChai
     if tokens is None:
         return None
 
+    # the walk's assignment, the base facts and then each step's conclusion,
+    # by value and by literal
     steps: list[Step] = []
-    state = State({l.fact: l.value for l in builder.leaves})
+    values = {l.fact: l.value for l in builder.leaves}
+    known = {l.fact: l for l in builder.leaves}
     for pos, token in enumerate(tokens):
         if token is None:
             ahead = {f for later in tokens[pos + 1:] if later is not None
-                     for f in later.rule.facts()}
-            made = _side_step(builder, state, ahead)
+                     for f in later.rule.slots}
+            made = _side_step(builder, values, ahead)
             if made is None:
                 return None
             rule, concl = made
         else:
             rule, concl = token.rule, token.conclusion
-        steps.append(Step(pos + 1, step_supports(rule, concl.fact, state), rule, concl))
-        state = state.with_literal(concl)
+        steps.append(Step(pos + 1, known_supports(rule, concl.fact, known), rule, concl))
+        assign_literal(values, concl)
+        known[concl.fact] = concl
 
-    _plant_spare_impls(builder, state, cfg.spare_impl_rules, cfg.distractor_rules)
+    _plant_spare_impls(builder, values, cfg.spare_impl_rules, cfg.distractor_rules)
     chain = CorrectChain(base_facts=tuple(builder.leaves), rules=tuple(builder.rules),
                          steps=tuple(steps), goal=goal)
     cost = min_derivation_cost(chain.rules, chain.base_facts, goal)
@@ -565,23 +668,30 @@ class ChainReport:
 class Prefix:
     """A theory's model table replayed over a growing prefix.
 
-    ``state`` and ``established`` start from ``literals``. The table is built
-    with ``state`` fixed, so it spans only the facts the start leaves free,
-    and ``rows`` starts as all of its rows. ``extend`` is the only code that
-    grows the prefix, and it narrows ``rows`` with ``table.restrict``, so
-    ``rows`` always equals ``table.restrict_state(state)`` (restriction is an
-    AND, and a fixed fact's column is constant).
+    ``values`` (the prefix's assignment as a plain dict, read-only to
+    callers) and ``established`` start from ``literals``; ``state`` is a copy
+    of ``values`` as a ``State``. The table is built with the start fixed, so
+    it spans only the facts the start leaves free, and ``rows`` starts as all
+    of its rows. ``extend`` is the only code that grows the prefix, and it
+    narrows ``rows`` with ``table.restrict``, so ``rows`` always equals
+    ``table.restrict_state(state)`` (restriction is an AND, and a fixed
+    fact's column is constant).
     """
 
     def __init__(self, theory: Theory, literals: Iterable[Literal]):
         literals = tuple(literals)
-        self.state = State({l.fact: l.value for l in literals})
-        self.table = model_table(theory, self.state.literals())
+        self.values: dict[FactId, bool] = {l.fact: l.value for l in literals}
+        self.table = model_table(theory, tuple(Literal(f, v) for f, v
+                                               in sorted(self.values.items())))
         self.rows = self.table.rows
         self.established = set(literals)
 
+    @property
+    def state(self) -> State:
+        return State(self.values)
+
     def extend(self, lit: Literal) -> None:
-        self.state = self.state.with_literal(lit)
+        assign_literal(self.values, lit)
         self.established.add(lit)
         self.rows = self.table.restrict(self.rows, lit)
 
@@ -595,17 +705,29 @@ class Prefix:
         semantic:   supports and conclusion are entailed by (theory, prefix); a
                     fact outside the theory's universe is never entailed.
         """
-        table, rows, state = self.table, self.rows, self.state
-        rule_facts = set(step.rule.facts())
-        procedural = all(lit in self.established for lit in step.supports)
-        in_rule = (step.support_facts() <= rule_facts
-                   and step.conclusion.fact in rule_facts
-                   and step.conclusion.fact not in step.support_facts())
-        pattern = in_rule and match_pattern(step.rule, step.supports, step.conclusion) is not None
-        fresh = state.value_of(step.conclusion.fact) is TruthValue.UNKNOWN
-        semantic = all(state.holds(lit) or (lit.fact in table.columns and
-                                            table.decide(rows, lit).status is Status.ENTAILED)
-                       for lit in (*step.supports, step.conclusion))
+        values, established = self.values, self.established
+        rule, supports, conclusion = step.rule, step.supports, step.conclusion
+        slots, concluded = rule.slots, conclusion.fact
+        procedural, in_rule = True, concluded in slots
+        for lit in supports:
+            if lit not in established:
+                procedural = False
+            if lit.fact == concluded or lit.fact not in slots:
+                in_rule = False
+        pattern = in_rule and match_pattern(rule, supports, conclusion) is not None
+        fresh = concluded not in values
+        # a literal the prefix does not assign is entailed when the rows are
+        # consistent and every row agrees with it: the rows all lie in its
+        # fact's column (true) or all outside it (false)
+        columns, rows = self.table.columns, self.rows
+        semantic = True
+        for fact, value in (*supports, conclusion):
+            if values.get(fact) == value:
+                continue
+            column = columns.get(fact)
+            if column is None or not rows or (rows & column) != (rows if value else 0):
+                semantic = False
+                break
         return StepCheck(semantic, procedural, pattern, fresh)
 
     def replay(self, steps: Sequence[Step]) -> int:
@@ -626,7 +748,7 @@ def verify_chain(chain: CorrectChain) -> ChainReport:
         return ChainReport(False, (f"theory: {exc}",))
 
     prefix = Prefix(theory, chain.base_facts)
-    if len(prefix.state) != len(chain.base_facts):
+    if len(prefix.values) != len(chain.base_facts):
         failures.append("base facts assign some fact twice")
     if not prefix.rows:
         failures.append("base facts are inconsistent with the rules")
@@ -665,7 +787,9 @@ def topological_order(steps: Sequence[Step]) -> list[int]:
     """Dependency-respecting 1-based step order, stable on original index.
 
     Each support depends on the first step concluding it; raises ValueError
-    when the steps support each other in a cycle.
+    when the steps support each other in a cycle. Kahn's algorithm with a
+    min-heap of the ready steps, so each pick is the lowest index whose
+    dependencies are all placed.
     """
     concluded_by: dict[Literal, int] = {}
     for step in steps:
@@ -676,15 +800,21 @@ def topological_order(steps: Sequence[Step]) -> list[int]:
             src = concluded_by.get(lit)
             if src is not None and src != step.index:
                 deps[step.index].add(src)
+    unplaced = {i: len(d) for i, d in deps.items()}
+    dependents: dict[int, list[int]] = {i: [] for i in deps}
+    for i, d in deps.items():
+        for src in d:
+            dependents[src].append(i)
+    ready = [i for i, n in unplaced.items() if n == 0]
+    heapq.heapify(ready)
     order: list[int] = []
-    done: set[int] = set()
-    pending = sorted(deps)
-    while pending:
-        ready = [i for i in pending if deps[i] <= done]
-        if not ready:
-            raise ValueError("cycle detected among steps")
-        nxt = ready[0]
+    while ready:
+        nxt = heapq.heappop(ready)
         order.append(nxt)
-        done.add(nxt)
-        pending.remove(nxt)
+        for i in dependents[nxt]:
+            unplaced[i] -= 1
+            if unplaced[i] == 0:
+                heapq.heappush(ready, i)
+    if len(order) < len(deps):
+        raise ValueError("cycle detected among steps")
     return order

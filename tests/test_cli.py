@@ -542,6 +542,17 @@ def _corpus(command: str, tamper=None):
     return build
 
 
+def _with(build, *extra):
+    """``build``'s argv with ``extra`` arguments appended."""
+    return lambda d, header, records: [*build(d, header, records), *extra]
+
+
+def _synth_workers(workers: str):
+    return lambda d, header, records: [
+        "synth", "--count", "2", "--seed", "1", "--workers", workers,
+        "--out", str(d / "out" / "c.jsonl")]
+
+
 def _not_utf8(header, records):
     return b"\xff\xfe\n"
 
@@ -614,6 +625,22 @@ _BAD_INPUTS = {
                                   "usage error: distractor_rules -1"),
     "min-useful-steps-negative": (_synth("min_useful_steps = -5\n"), 2,
                                   "usage error: min_useful_steps -5"),
+    "workers-zero": (_synth_workers("0"), 2, "usage error: --workers 0 must be at least 1"),
+    "workers-negative": (_synth_workers("-3"), 2,
+                         "usage error: --workers -3 must be at least 1"),
+    "threshold-nan": (_with(_corpus("eval"), "--threshold", "nan"), 2,
+                      "usage error: --threshold nan must lie within [0, 1]"),
+    "threshold-inf": (_with(_corpus("eval"), "--threshold", "inf"), 2,
+                      "usage error: --threshold inf must lie within [0, 1]"),
+    "threshold-over-one": (_with(_corpus("eval"), "--threshold", "1.5"), 2,
+                           "usage error: --threshold 1.5 must lie within [0, 1]"),
+    "judge-constant-nan": (_with(_corpus("eval"), "--judge", "constant:nan"), 2,
+                           "usage error: constant judge score nan must lie within [0, 1]"),
+    "judge-constant-inf-pools": (
+        _with(_eval_input("--pools", '{"problems": [{"candidates": '
+                                     '[{"step_scores": [0.5]}]}]}'),
+              "--judge", "constant:inf"), 2,
+        "usage error: constant judge score inf must lie within [0, 1]"),
     "pools-list": (_eval_input("--pools", "[1, 2]"), 2, "cannot read pools: "),
     "pools-problems-int": (_eval_input("--pools", '{"problems": 5}'), 2,
                            "cannot read pools: "),

@@ -176,6 +176,57 @@ PINNED_CORPORA = [
 ]
 
 
+# sha256 of ``CorpusStats.to_text()`` for the default pinned corpus: the
+# rejection counts show only here, so a change to the rejection loop that kept
+# the corpus bytes would still show
+PINNED_DEFAULT_STATS = "7dcadaeaf30bc0e5b351bdecb345210bfb96e7697cb228d1e28bbbe3c8eed5cb"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_generate_corpus_stats_pinned(tmp_path, workers):
+    cfg, digest = PINNED_CORPORA[0]
+    out = tmp_path / "pinned.jsonl"
+    stats = generate_corpus(cfg, str(out), workers=workers)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert hashlib.sha256(stats.to_text().encode()).hexdigest() == PINNED_DEFAULT_STATS
+
+
+class _RecordingPool:
+    """A stand-in for ``ProcessPoolExecutor`` that records its size and runs
+    the tasks in this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("count, workers, expected", [(3, 8, [3]), (5, 2, [2]), (1, 4, [])])
+def test_pool_never_holds_more_processes_than_instances(tmp_path, monkeypatch,
+                                                        count, workers, expected):
+    """The pool is sized min(workers, count); a single instance needs no pool.
+    The output is the single-process output either way."""
+    import concurrent.futures
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    cfg = CorpusConfig(total_count=count, seed=3)
+    pooled, single = tmp_path / "pooled.jsonl", tmp_path / "single.jsonl"
+    generate_corpus(cfg, str(pooled), workers=workers)
+    assert _RecordingPool.sizes == expected
+    generate_corpus(cfg, str(single), workers=1)
+    assert pooled.read_bytes() == single.read_bytes()
+
+
 @pytest.mark.parametrize("cfg, digest", PINNED_CORPORA, ids=["default", "wide"])
 def test_generate_corpus_bytes_pinned(tmp_path, cfg, digest):
     """A corpus is a pure function of (config, seed), so a refactor must keep
@@ -209,6 +260,22 @@ def test_pinned_corpora_do_not_depend_on_the_hash_seed(tmp_path, hash_seed):
                             timeout=300)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == [digest for _, digest in PINNED_CORPORA]
+
+
+def test_bytes_gate_tool_reports_each_run(tmp_path):
+    """``tools/bytes_gate.py`` prints a corpus and stats digest per workload
+    and worker count, and exits 0 when the worker counts agree."""
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, str(root / "tools" / "bytes_gate.py"),
+                             "--count", "3"], cwd=tmp_path, capture_output=True,
+                            text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    runs = [line.split() for line in lines if " corpus " in line]
+    assert [(r[0], r[1]) for r in runs] == [
+        (name, f"workers={w}") for name in ("seed7", "seed11", "wide-seed7") for w in (1, 2)]
+    assert all(len(r[3]) == len(r[5]) == 64 for r in runs)
+    assert lines[-1] == "ok"
 
 
 def test_stats_share_identity(tmp_path):

@@ -235,7 +235,7 @@ def test_side_rows_draw_as_the_reference_flavours():
         expected_builder = _builder(cfg, seed, state, next_fact)
         got_builder = _builder(cfg, seed, state, next_fact)
         expected = ref_side_step(expected_builder, state, ahead)
-        got = _side_step(got_builder, state, ahead)
+        got = _side_step(got_builder, dict(state.literals()), ahead)
         assert got == expected, seed
         assert got_builder.next_fact == expected_builder.next_fact, seed
         assert got_builder.intended == expected_builder.intended, seed
