@@ -224,10 +224,15 @@ def deserialize_instance(line: str, line_number: Optional[int] = None) -> Instan
         goal = _parsed(parse_literal, obj["goal"], "goal")
         base = tuple(_parsed(parse_literal, t, "base_facts entry") for t in obj["base_facts"])
         rules = tuple(_parsed(parse_rule, t, "rules entry") for t in obj["rules"])
+        correct_objs = obj["correct_steps"]
         correct_steps = tuple(_step_from_obj(s, i + 1, "correct_steps")
-                              for i, s in enumerate(obj["correct_steps"]))
-        erroneous_steps = tuple(_step_from_obj(s, i + 1, "erroneous_steps")
-                                for i, s in enumerate(obj["erroneous_steps"]))
+                              for i, s in enumerate(correct_objs))
+        # an erroneous step stored as the correct step at its position is
+        # that step: equal JSON parses to an equal Step
+        erroneous_steps = tuple(
+            correct_steps[i] if i < len(correct_objs) and s == correct_objs[i]
+            else _step_from_obj(s, i + 1, "erroneous_steps")
+            for i, s in enumerate(obj["erroneous_steps"]))
         for name, steps in (("correct_steps", correct_steps),
                             ("erroneous_steps", erroneous_steps)):
             if not steps:
@@ -249,7 +254,7 @@ def deserialize_instance(line: str, line_number: Optional[int] = None) -> Instan
         profile = (ContextProfile(context["name"], context["background"])
                    if context else None)
         extras = {k: v for k, v in obj.items() if k not in _KNOWN_KEYS}
-        stored = {k: obj[k] for k in _DERIVED_KEYS if obj.get(k) is not None}
+        stored = {k: obj[k] for k in _DERIVED_KEYS if k in obj}
         return Instance(
             id=obj["id"], goal=goal, base_facts=base, rules=rules,
             correct=correct, erroneous=erroneous,

@@ -1,13 +1,16 @@
-"""Fact/expression/rule language: parsing, printing, three-valued states.
+"""Fact/rule language: parsing, printing, three-valued states.
 
 Atoms are written ``[F<n>]``; connectives are ``and``, ``or``, ``xor`` and the
 rule arrow ``->``. Negation is not a connective: negative information lives in
 False-valued assignments. A partial state reads an unassigned fact as Unknown.
 
 A rule is flat: one of seven templates plus its slot facts (A, B[, C]).
-``TEMPLATES`` gives each template's slot count and canonical text. The
-expression tree exists only at the parse boundary: ``parse_rule`` parses the
-text into a tree and ``make_rule`` maps the tree to its ``Rule``.
+``TEMPLATES`` gives each template's slot count and canonical text, and is the
+only statement of the rule-text format: ``render_rule`` fills a template's
+text and ``parse_rule`` looks a text up among the templates' texts with the
+slots cut out. Any other text, for example one with extra spaces or
+parentheses, is a ``RuleShapeError``. ``Rule.shape`` gives a rule's
+expression tree, built from its template and slots.
 
 ``parse_rule`` and ``parse_literal`` are pure functions of their text that
 return frozen values, so each is memoized under a bounded LRU cache
@@ -25,16 +28,9 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Union
 
 
-class ExprSyntaxError(ValueError):
-    """Raised on malformed expression or rule text; carries a 0-based byte offset."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (offset {offset})")
-        self.offset = offset
-
-
 class RuleShapeError(ValueError):
-    """Raised when rule text parses but fits none of the supported templates."""
+    """Raised on rule text that is not one of the canonical template texts,
+    and on a rule that binds one fact to two slots."""
 
 
 class TruthValue(enum.Enum):
@@ -169,6 +165,18 @@ TEMPLATES: dict[RuleTemplate, tuple[int, str]] = {
 }
 
 
+# Per template: its expression tree, from the slot facts.
+_SHAPES = {
+    RuleTemplate.IMPL: lambda a, b: Implication(Atom(a), Atom(b)),
+    RuleTemplate.AND_ANTE: lambda a, b, c: Implication(And(Atom(a), Atom(b)), Atom(c)),
+    RuleTemplate.AND_CONS: lambda a, b, c: Implication(Atom(a), And(Atom(b), Atom(c))),
+    RuleTemplate.OR_ANTE: lambda a, b, c: Implication(Or(Atom(a), Atom(b)), Atom(c)),
+    RuleTemplate.OR_CONS: lambda a, b, c: Implication(Atom(a), Or(Atom(b), Atom(c))),
+    RuleTemplate.XOR_ANTE: lambda a, b, c: Implication(Xor(Atom(a), Atom(b)), Atom(c)),
+    RuleTemplate.XOR_BARE: XorConstraint,
+}
+
+
 @dataclass(frozen=True)
 class Rule:
     """A template with its slot facts, one distinct fact per slot."""
@@ -195,181 +203,31 @@ class Rule:
     @property
     def shape(self) -> Union[Implication, XorConstraint]:
         """The expression tree of the canonical text."""
-        return _parse_shape(render_rule(self))
+        return _SHAPES[self.template](*self.slots)
 
     def __str__(self) -> str:
         return render_rule(self)
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<atom>\[\[F\d+\]\]|\[F\d+\])|(?P<op>and|or|xor|->)|"
-    r"(?P<lpar>\()|(?P<rpar>\)))"
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.start() != pos:
-            raise ExprSyntaxError(f"unknown token {text[pos:pos + 8]!r}", pos)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    """Recursive descent; precedence: parens > xor > and > or, left-associative."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def _offset(self) -> int:
-        tok = self.peek()
-        return tok[2] if tok is not None else len(self.text)
-
-    def expect_end(self) -> None:
-        if self.peek() is not None:
-            raise ExprSyntaxError(f"unexpected token {self.peek()[1]!r}", self._offset())
-
-    def parse_expr(self) -> Expr:
-        return self._or()
-
-    def _or(self) -> Expr:
-        node = self._and()
-        while self._eat_op("or"):
-            node = Or(node, self._and())
-        return node
-
-    def _and(self) -> Expr:
-        node = self._xor()
-        while self._eat_op("and"):
-            node = And(node, self._xor())
-        return node
-
-    def _xor(self) -> Expr:
-        node = self._primary()
-        while self._eat_op("xor"):
-            node = Xor(node, self._primary())
-        return node
-
-    def _eat_op(self, op: str) -> bool:
-        tok = self.peek()
-        if tok is not None and tok[0] == "op" and tok[1] == op:
-            self.i += 1
-            return True
-        return False
-
-    def _primary(self) -> Expr:
-        tok = self.peek()
-        if tok is None:
-            raise ExprSyntaxError("expected atom or '('", self._offset())
-        kind, value, offset = tok
-        if kind == "atom":
-            self.i += 1
-            # [[F<n>]] is accepted as an alias for [F<n>]
-            inner = value[1:-1] if value.startswith("[[") else value
-            return Atom(FactId(int(inner[2:-1])))
-        if kind == "lpar":
-            self.i += 1
-            node = self.parse_expr()
-            tok = self.peek()
-            if tok is None or tok[0] != "rpar":
-                raise ExprSyntaxError("unbalanced '('", self._offset())
-            self.i += 1
-            return node
-        raise ExprSyntaxError(f"unexpected token {value!r}", offset)
-
-
-def parse_expr(text: str) -> Expr:
-    if not text.strip():
-        raise ExprSyntaxError("empty input", 0)
-    p = _Parser(text)
-    node = p.parse_expr()
-    p.expect_end()
-    return node
-
-
-def _split_arrow(text: str) -> tuple[str, str] | None:
-    """Split on a top-level '->'; None when absent. Nested arrows are rejected."""
-    depth = 0
-    positions = []
-    i = 0
-    while i < len(text) - 1:
-        c = text[i]
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        elif c == "-" and text[i + 1] == ">" and depth == 0:
-            positions.append(i)
-            i += 1
-        i += 1
-    if not positions:
-        return None
-    if len(positions) > 1:
-        raise RuleShapeError("unsupported rule shape: chained implication")
-    p = positions[0]
-    return text[:p], text[p + 2:]
-
-
-def _binary_atoms(e: Expr) -> bool:
-    return isinstance(e, (And, Or, Xor)) and isinstance(e.left, Atom) \
-        and isinstance(e.right, Atom)
-
-
-def _parse_shape(text: str) -> Union[Implication, XorConstraint]:
-    parts = _split_arrow(text)
-    if parts is None:
-        expr = parse_expr(text)
-        if isinstance(expr, Xor) and _binary_atoms(expr):
-            return XorConstraint(expr.left.fact, expr.right.fact)
-        raise RuleShapeError(f"unsupported rule shape: {text.strip()!r}")
-    return Implication(parse_expr(parts[0]), parse_expr(parts[1]))
+# A slot fact in rule text: ``[F<n>]``, n in ASCII digits without leading zeros.
+_SLOT_RE = re.compile(r"\[F(0|[1-9][0-9]*)\]")
+# Each template's text with its slots cut out, e.g. ``("(", " and ", ") -> ", "")``
+# for ``([F0] and [F1]) -> [F2]``; every text names its slots in slot order.
+_SKELETONS: dict[tuple[str, ...], RuleTemplate] = {
+    tuple(re.split(r"\{\d\}", text)): template
+    for template, (_, text) in TEMPLATES.items()
+}
 
 
 @functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_rule(text: str) -> Rule:
-    return make_rule(_parse_shape(text))
-
-
-_ANTE_TEMPLATES = {And: RuleTemplate.AND_ANTE, Or: RuleTemplate.OR_ANTE,
-                   Xor: RuleTemplate.XOR_ANTE}
-_CONS_TEMPLATES = {And: RuleTemplate.AND_CONS, Or: RuleTemplate.OR_CONS}
-
-
-def make_rule(shape: Union[Implication, XorConstraint]) -> Rule:
-    """The Rule a parsed tree denotes; RuleShapeError when it fits no template
-    or binds one fact to two slots."""
-    if isinstance(shape, XorConstraint):
-        return Rule(RuleTemplate.XOR_BARE, (shape.left, shape.right))
-    ante, cons = shape.antecedent, shape.consequent
-    if isinstance(ante, Atom) and isinstance(cons, Atom):
-        return Rule(RuleTemplate.IMPL, (ante.fact, cons.fact))
-    if isinstance(cons, Atom) and _binary_atoms(ante):
-        return Rule(_ANTE_TEMPLATES[type(ante)],
-                    (ante.left.fact, ante.right.fact, cons.fact))
-    if isinstance(ante, Atom) and type(cons) in _CONS_TEMPLATES and _binary_atoms(cons):
-        return Rule(_CONS_TEMPLATES[type(cons)],
-                    (ante.fact, cons.left.fact, cons.right.fact))
-    raise RuleShapeError(f"unsupported rule shape: {render_expr(ante)} -> {render_expr(cons)}")
-
-
-def render_expr(e: Expr) -> str:
-    if isinstance(e, Atom):
-        return str(e.fact)
-    op = {And: "and", Or: "or", Xor: "xor"}[type(e)]
-    return f"({render_expr(e.left)} {op} {render_expr(e.right)})"
+    """The ``Rule`` of a canonical rule text; ``RuleShapeError`` on any other
+    text, and on a text that binds one fact to two slots."""
+    parts = _SLOT_RE.split(text)
+    template = _SKELETONS.get(tuple(parts[::2]))
+    if template is None:
+        raise RuleShapeError(f"not a canonical rule text: {text!r}")
+    return Rule(template, tuple(FactId(int(n)) for n in parts[1::2]))
 
 
 def render_rule(r: Rule) -> str:

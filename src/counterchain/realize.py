@@ -39,6 +39,7 @@ _LEAK_RE = re.compile(
     r"(?=\b(?:(" + "|".join(LEAK_WORDS) + ")|"
     + "|".join("(" + re.escape(p) + ")" for p in LEAK_PHRASES) + r")\b)",
     re.IGNORECASE)
+_LEAK_ENTRIES = LEAK_WORDS + LEAK_PHRASES
 
 
 @dataclass(frozen=True)
@@ -375,6 +376,13 @@ def leak_lint(nl_record: dict, k: int) -> list[LeakViolation]:
         fields = [step_record.get("text", ""), step_record.get("rule_text", ""),
                   step_record.get("conclusion_text", "")]
         fields.extend(step_record.get("support_texts", []))
+        # ASCII text without any entry in its lower case has no hit. Other
+        # text goes to the regex, whose case folding matches ``ſ`` to ``s``
+        joined = "\n".join(fields)
+        if joined.isascii():
+            lowered = joined.lower()
+            if not any(entry in lowered for entry in _LEAK_ENTRIES):
+                continue
         for text in fields:
             for word in _scan_text(text):
                 violations.append(LeakViolation(index, word, text))

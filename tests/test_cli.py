@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -290,6 +291,17 @@ def _tamper_reached_goal_polarity(header, record):
     record["reached_goal_polarity"] = not record["reached_goal_polarity"]
 
 
+_DERIVED_FIELDS = ("error_group", "correct_labels", "erroneous_labels",
+                   "reached_goal_polarity")
+
+
+def _null(field: str):
+    def tamper(header, record):
+        record[field] = None
+    tamper.__name__ = f"_tamper_{field}_null"
+    return tamper
+
+
 def _tamper_total_count(header, record):
     header["total_count"] += 1
 
@@ -301,6 +313,7 @@ def _tamper_erroneous_steps(header, record):
 @pytest.mark.parametrize("tamper", [
     _tamper_error_group, _tamper_correct_labels, _tamper_erroneous_labels,
     _tamper_reached_goal_polarity, _tamper_total_count, _tamper_erroneous_steps,
+    *map(_null, _DERIVED_FIELDS),
 ], ids=lambda f: f.__name__.removeprefix("_tamper_"))
 def test_verify_rejects_tampered_stored_field(tmp_path, capsys, tamper):
     out = tmp_path / "c.jsonl"
@@ -311,6 +324,18 @@ def test_verify_rejects_tampered_stored_field(tmp_path, capsys, tamper):
                            for o in (header, *records)))
     code, _, _ = _run(capsys, "verify", str(out))
     assert code != 0
+
+
+def test_verify_accepts_records_without_derived_fields(tmp_path, capsys):
+    out = tmp_path / "c.jsonl"
+    _run(capsys, "synth", "--count", "4", "--seed", "2", "--out", str(out))
+    header, *records = [json.loads(l) for l in out.read_text().splitlines()]
+    for record in records:
+        for field in _DERIVED_FIELDS:
+            del record[field]
+    _rewrite(out, header, records)
+    code, stdout, _ = _run(capsys, "verify", str(out))
+    assert code == 0 and "verified 4 instances, 0 failures" in stdout
 
 
 def test_header_detected_with_default_json_spacing(tmp_path, capsys):
@@ -446,25 +471,24 @@ def test_non_string_text_field_is_usage_error(tmp_path, capsys, command, field, 
 
 
 def test_corpus_with_more_rule_texts_than_the_parse_memo_holds(tmp_path, capsys):
-    # padding a rule text with blanks leaves the rule as it is, so copies of
-    # a few records can carry more distinct rule texts than the memo holds
+    # adding one offset to every fact index keeps each fact's order, so a
+    # shifted record verifies as the original does; copies of a few records
+    # shifted by different offsets carry more distinct rule texts than the
+    # memo holds
     out = tmp_path / "c.jsonl"
     _run(capsys, "synth", "--count", "20", "--seed", "4", "--out", str(out))
     header, *originals = [json.loads(l) for l in out.read_text().splitlines()]
-    distinct = 0
-
-    def pad(text: str) -> str:
-        nonlocal distinct
-        distinct += 1
-        return " " * (distinct % 64) + text + " " * (distinct // 64)
-
+    distinct: set[str] = set()
     records = []
-    while distinct <= PARSE_CACHE_SIZE:
+    offset = 0
+    while len(distinct) <= PARSE_CACHE_SIZE:
+        offset += 100
         for original in originals:
-            record = json.loads(json.dumps(original))
-            record["rules"] = [pad(t) for t in record["rules"]]
-            for step in record["correct_steps"] + record["erroneous_steps"]:
-                step["rule"] = pad(step["rule"])
+            line = re.sub(r"\[F(\d+)\]", lambda m: f"[F{int(m.group(1)) + offset}]",
+                          json.dumps(original))
+            record = json.loads(line)
+            distinct.update(record["rules"])
+            distinct.update(step["rule"] for step in record["erroneous_steps"])
             records.append(record)
     header["total_count"] = len(records)
     _rewrite(out, header, records)
@@ -590,6 +614,14 @@ def _established_off_rule(record, step):
     return [next(l for l in record["base_facts"] if l.split("=")[0] not in step["rule"])]
 
 
+def _double_bracket_rule(header, records):
+    records[0]["rules"][0] = records[0]["rules"][0].replace("[", "[[").replace("]", "]]")
+
+
+def _padded_step_rule(header, records):
+    records[0]["correct_steps"][0]["rule"] += " "
+
+
 def _one_record_counted_true(header, records):
     # true == 1, so only a type check tells this header from a valid one
     del records[1:]
@@ -656,6 +688,9 @@ _BAD_INPUTS = {
                                      "prefix differs from the correct chain at step 4"),
     "correct-steps-empty": (_corpus("eval", _set("correct_steps", [])), 2,
                             "cannot read corpus: "),
+    "rule-double-brackets": (_corpus("verify", _double_bracket_rule), 2,
+                             "cannot read corpus: "),
+    "step-rule-padded": (_corpus("realize", _padded_step_rule), 2, "cannot read corpus: "),
     "error-index-float": (_corpus("verify", _set("first_error_index", 2.5)), 2,
                           "cannot read corpus: "),
     "error-index-text": (_corpus("verify", _as_text("first_error_index")), 2,

@@ -123,6 +123,37 @@ def test_unknown_fields_survive_round_trip():
         {"nested": [1, 2, 3]}
 
 
+def test_erroneous_steps_equal_to_the_correct_ones_are_shared(tmp_path):
+    path = tmp_path / "c.jsonl"
+    generate_corpus(CorpusConfig(total_count=20, seed=5), str(path))
+    shared = 0
+    for line in path.read_text().splitlines()[1:]:
+        obj = json.loads(line)
+        inst = deserialize_instance(line)
+        correct = inst.correct.steps
+        for i, (stored, step) in enumerate(zip(obj["erroneous_steps"],
+                                               inst.erroneous.steps)):
+            same = i < len(correct) and stored == obj["correct_steps"][i]
+            assert (i < len(correct) and step is correct[i]) == same
+            shared += same
+        assert serialize_instance(inst) == line
+    assert shared > 20
+
+
+def test_tampered_prefix_step_is_parsed_on_its_own():
+    inst = fixtures.bakery_instance()
+    obj = json.loads(serialize_instance(inst))
+    step = obj["erroneous_steps"][0]
+    assert step == obj["correct_steps"][0] and inst.k > 1
+    fact, value = step["conclusion"].split("=")
+    step["conclusion"] = f"{fact}={value != 'True'}"
+    back = deserialize_instance(json.dumps(obj))
+    assert back.erroneous.steps[0] is not back.correct.steps[0]
+    assert str(back.erroneous.steps[0].conclusion) == step["conclusion"]
+    assert verify_chain(back.correct).valid
+    assert verify_first_error(back).failures
+
+
 def test_derive_seed_stable_and_spread():
     assert derive_seed(7, 0) == derive_seed(7, 0)
     seen = {derive_seed(7, i) for i in range(1000)}
@@ -263,18 +294,28 @@ def test_pinned_corpora_do_not_depend_on_the_hash_seed(tmp_path, hash_seed):
 
 
 def test_bytes_gate_tool_reports_each_run(tmp_path):
-    """``tools/bytes_gate.py`` prints a corpus and stats digest per workload
-    and worker count, and exits 0 when the worker counts agree."""
+    """``tools/bytes_gate.py --read`` prints a corpus and stats digest per
+    workload and worker count, then each read command's exit code and
+    digests, and exits 0 when the worker counts agree and every read exits 0."""
     root = Path(__file__).resolve().parents[1]
     result = subprocess.run([sys.executable, str(root / "tools" / "bytes_gate.py"),
-                             "--count", "3"], cwd=tmp_path, capture_output=True,
+                             "--count", "3", "--read"], cwd=tmp_path, capture_output=True,
                             text=True, timeout=300)
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
+    names = ("seed7", "seed11", "wide-seed7")
     runs = [line.split() for line in lines if " corpus " in line]
     assert [(r[0], r[1]) for r in runs] == [
-        (name, f"workers={w}") for name in ("seed7", "seed11", "wide-seed7") for w in (1, 2)]
+        (name, f"workers={w}") for name in names for w in (1, 2)]
     assert all(len(r[3]) == len(r[5]) == 64 for r in runs)
+    reads = [line.split() for line in lines if " stdout " in line]
+    labels = ["verify", "stats", "eval", "realize-clean", "realize-annotated",
+              "verify-clean", "verify-annotated"]
+    assert [(r[0], r[1]) for r in reads] == [(n, l) for n in names for l in labels]
+    assert all(r[2:4] == ["exit", "0"] and len(r[5]) == 64 for r in reads)
+    assert [len(r) for r in reads if r[1] in ("eval", "realize-clean")] == [8] * 6
+    # every file goes to the tool's temporary directory, none to the caller's
+    assert not list(tmp_path.iterdir())
     assert lines[-1] == "ok"
 
 

@@ -11,7 +11,6 @@ from counterchain import (
     And,
     Atom,
     CorpusConfig,
-    ExprSyntaxError,
     FactId,
     Literal,
     Or,
@@ -23,10 +22,8 @@ from counterchain import (
     Xor,
     XorConstraint,
     generate_corpus,
-    parse_expr,
     parse_literal,
     parse_rule,
-    render_expr,
     render_rule,
 )
 from counterchain.logic import (
@@ -34,47 +31,67 @@ from counterchain.logic import (
     TEMPLATES,
     Implication,
     StateConflictError,
-    make_rule,
 )
 
 F = FactId
 
 
 def test_parse_compound_conjunction():
-    assert parse_expr("([F6] and [F7])") == And(Atom(F(6)), Atom(F(7)))
+    rule = parse_rule("[F2] -> ([F6] and [F7])")
+    assert rule == Rule(RuleTemplate.AND_CONS, (F(2), F(6), F(7)))
+    assert rule.shape == Implication(Atom(F(2)), And(Atom(F(6)), Atom(F(7))))
 
 
 def test_parse_single_atom():
-    assert parse_expr("[F0]") == Atom(F(0))
-
-
-def test_parse_double_bracket_alias():
-    assert parse_expr("[[F3]]") == Atom(F(3))
-    assert parse_expr("([[F1]] and [F2])") == And(Atom(F(1)), Atom(F(2)))
-
-
-def test_unbalanced_input_reports_offset():
-    with pytest.raises(ExprSyntaxError) as err:
-        parse_expr("([F3] xor")
-    assert err.value.offset == 9
+    # an atom alone is no rule; index 0 and a trailing zero are no leading zero
+    with pytest.raises(RuleShapeError):
+        parse_rule("[F0]")
+    assert parse_rule("[F0] -> [F10]").slots == (F(0), F(10))
 
 
 def test_empty_and_garbage_inputs():
-    with pytest.raises(ExprSyntaxError):
-        parse_expr("")
-    with pytest.raises(ExprSyntaxError) as err:
-        parse_expr("[F1] nope [F2]")
-    assert err.value.offset == 5
+    for text in ("", " ", "[F1] nope [F2]", "->", "[F1] -> [F2] -> [F3]"):
+        with pytest.raises(RuleShapeError):
+            parse_rule(text)
 
 
-def test_precedence_xor_tighter_than_and_tighter_than_or():
-    e = parse_expr("[F0] or [F1] and [F2] xor [F3]")
-    assert e == Or(Atom(F(0)), And(Atom(F(1)), Xor(Atom(F(2)), Atom(F(3)))))
+# Each turns a canonical text, whose first slot is ``[F<a>]``, into a variant
+# that is not canonical, or leaves a text with nothing to change as it is.
+_NON_CANONICAL = {
+    "double-brackets": lambda t, a: t.replace(f"[F{a}]", f"[[F{a}]]"),
+    "extra-space": lambda t, a: t.replace(" ", "  ", 1),
+    "leading-space": lambda t, a: " " + t,
+    "trailing-space": lambda t, a: t + " ",
+    "missing-space": lambda t, a: t.replace(" ", "", 1),
+    "extra-parens": lambda t, a: f"({t})",
+    "parenthesized-atom": lambda t, a: t.replace(f"[F{a}]", f"([F{a}])"),
+    "missing-parens": lambda t, a: t.replace("(", "").replace(")", ""),
+    "unbalanced-paren": lambda t, a: t.replace(")", "", 1),
+    "leading-zero": lambda t, a: t.replace(f"[F{a}]", f"[F0{a}]"),
+    "non-ascii-digit": lambda t, a: t.replace(f"[F{a}]", f"[F{a}\u0661]"),
+    "upper-case-operator": lambda t, a: (t.replace(" and ", " AND ").replace(" or ", " OR ")
+                                         .replace(" xor ", " XOR ")),
+    "wrong-operator-word": lambda t, a: (t.replace(" and ", " nand ").replace(" or ", " nor ")
+                                         .replace(" xor ", " xnor ").replace(" -> ", " => ")),
+    "trailing-text": lambda t, a: t + ".",
+    "trailing-clause": lambda t, a: t + " and [F40]",
+}
 
 
-def test_left_associativity():
-    e = parse_expr("[F0] and [F1] and [F2]")
-    assert e == And(And(Atom(F(0)), Atom(F(1))), Atom(F(2)))
+@pytest.mark.parametrize("variant", list(_NON_CANONICAL))
+def test_parse_rule_rejects_non_canonical_text(variant):
+    rng = random.Random(variant)
+    changed = 0
+    for template, (arity, _) in TEMPLATES.items():
+        slots = tuple(map(F, rng.sample(range(1, 40), arity)))
+        text = render_rule(Rule(template, slots))
+        assert parse_rule(text) == Rule(template, slots)
+        bad = _NON_CANONICAL[variant](text, int(slots[0]))
+        if bad != text:
+            changed += 1
+            with pytest.raises(RuleShapeError):
+                parse_rule(bad)
+    assert changed >= 4
 
 
 def test_parse_rule_xor_ante():
@@ -119,25 +136,16 @@ def test_all_seven_templates_parse():
 
 
 def test_render_canonical_forms():
-    assert render_expr(And(Atom(F(6)), Atom(F(7)))) == "([F6] and [F7])"
-    assert render_rule(make_rule(XorConstraint(F(9), F(12)))) == "[F9] xor [F12]"
+    assert render_rule(Rule(RuleTemplate.AND_ANTE, (F(6), F(7), F(0)))) == \
+        "([F6] and [F7]) -> [F0]"
+    assert render_rule(Rule(RuleTemplate.XOR_BARE, (F(9), F(12)))) == "[F9] xor [F12]"
     assert render_rule(parse_rule("[F2] -> ([F6] and [F7])")) == "[F2] -> ([F6] and [F7])"
 
 
-def _random_rule(rng: random.Random):
+def _random_rule(rng: random.Random) -> Rule:
     template = rng.choice(list(RuleTemplate))
-    facts = rng.sample(range(40), 3)
-    a, b, c = (Atom(F(i)) for i in facts)
-    shapes = {
-        RuleTemplate.IMPL: lambda: Implication(a, b),
-        RuleTemplate.AND_ANTE: lambda: Implication(And(a, b), c),
-        RuleTemplate.AND_CONS: lambda: Implication(a, And(b, c)),
-        RuleTemplate.OR_ANTE: lambda: Implication(Or(a, b), c),
-        RuleTemplate.OR_CONS: lambda: Implication(a, Or(b, c)),
-        RuleTemplate.XOR_ANTE: lambda: Implication(Xor(a, b), c),
-        RuleTemplate.XOR_BARE: lambda: XorConstraint(F(facts[0]), F(facts[1])),
-    }
-    return make_rule(shapes[template]())
+    facts = rng.sample(range(40), TEMPLATES[template][0])
+    return Rule(template, tuple(map(F, facts)))
 
 
 def test_rule_round_trip_1000_random():
@@ -147,13 +155,25 @@ def test_rule_round_trip_1000_random():
         assert parse_rule(render_rule(rule)) == rule
 
 
+_A, _B, _C = Atom(F(5)), Atom(F(2)), Atom(F(9))
+_EXPECTED_SHAPES = {
+    RuleTemplate.IMPL: Implication(_A, _B),
+    RuleTemplate.AND_ANTE: Implication(And(_A, _B), _C),
+    RuleTemplate.AND_CONS: Implication(_A, And(_B, _C)),
+    RuleTemplate.OR_ANTE: Implication(Or(_A, _B), _C),
+    RuleTemplate.OR_CONS: Implication(_A, Or(_B, _C)),
+    RuleTemplate.XOR_ANTE: Implication(Xor(_A, _B), _C),
+    RuleTemplate.XOR_BARE: XorConstraint(F(5), F(2)),
+}
+
+
 @pytest.mark.parametrize("template", list(RuleTemplate), ids=lambda t: t.value)
 def test_template_table_round_trip(template):
     # slot order differs from index order, so a swapped slot would show
     rule = Rule(template, (F(5), F(2), F(9))[:TEMPLATES[template][0]])
-    assert make_rule(rule.shape) == rule
-    assert hash(make_rule(rule.shape)) == hash(rule)
+    assert rule.shape == _EXPECTED_SHAPES[template]
     assert parse_rule(render_rule(rule)) == rule
+    assert hash(parse_rule(render_rule(rule))) == hash(rule)
     assert rule.facts() == rule.slots
 
 
@@ -184,21 +204,16 @@ def test_state_refuses_silent_flip():
     assert s.value_of(F(0)) is TruthValue.TRUE  # original untouched
 
 
-_exprs = st.recursive(
-    st.integers(min_value=0, max_value=5).map(lambda i: Atom(F(i))),
-    lambda inner: st.one_of(
-        st.tuples(inner, inner).map(lambda ab: And(*ab)),
-        st.tuples(inner, inner).map(lambda ab: Or(*ab)),
-        st.tuples(inner, inner).map(lambda ab: Xor(*ab)),
-    ),
-    max_leaves=12,
-)
+_rules = st.sampled_from(list(RuleTemplate)).flatmap(
+    lambda t: st.lists(st.integers(min_value=0, max_value=10**12),
+                       min_size=TEMPLATES[t][0], max_size=TEMPLATES[t][0],
+                       unique=True).map(lambda facts: Rule(t, tuple(map(F, facts)))))
 
 
 @settings(max_examples=200, deadline=None)
-@given(_exprs)
-def test_expr_render_parse_round_trip(expr):
-    assert parse_expr(render_expr(expr)) == expr
+@given(_rules)
+def test_rule_render_parse_round_trip(rule):
+    assert parse_rule.__wrapped__(render_rule(rule)) == rule
 
 
 def _corpus_texts(tmp_path) -> tuple[set[str], set[str]]:
@@ -230,7 +245,7 @@ def test_parse_memo_agrees_with_uncached_parse(tmp_path):
 
 
 @pytest.mark.parametrize("parse, text, error", [
-    (parse_rule, "[F1] ->", ExprSyntaxError),
+    (parse_rule, "[F1] ->", RuleShapeError),
     (parse_rule, "[F1] -> [F1]", RuleShapeError),
     (parse_rule, "[F1] or [F2]", RuleShapeError),
     (parse_literal, "[F1]=Maybe", ValueError),

@@ -10,6 +10,7 @@ from counterchain import (
     CorpusConfig,
     FactId,
     PredicateMapInvalid,
+    LeakViolation,
     ScriptedTranslator,
     build_predicate_map,
     generate_corpus,
@@ -223,6 +224,46 @@ def test_one_pass_scan_matches_the_per_phrase_scan():
         text = "".join(w + rng.choice([" ", " ", " ", ", ", "-", "_", ".", ""])
                        for w in words)
         assert _scan_text(text) == _scan_reference(text), text
+
+
+def _lint_reference(nl_record: dict, k: int) -> list[LeakViolation]:
+    """``leak_lint`` as ``_scan_text`` over every field, with no prefilter."""
+    found = []
+    for index, step in enumerate(nl_record["erroneous_steps"], start=1):
+        if index >= k:
+            for text in (step["text"], step["rule_text"], step["conclusion_text"],
+                         *step["support_texts"]):
+                found += [LeakViolation(index, word, text) for word in _scan_text(text)]
+    return found
+
+
+def test_leak_lint_prefilter_matches_the_per_text_scan():
+    rng = random.Random(23)
+    entries = [*LEAK_WORDS, *LEAK_PHRASES]
+    filler = ["the", "baker", "oven", "rule", "says", "steps", "kiln", "to", "sun"]
+
+    def text() -> str:
+        out = ""
+        for _ in range(rng.randint(0, 8)):
+            word = rng.choice(entries if rng.random() < 0.15 else filler)
+            word = "".join(c.upper() if rng.random() < 0.3 else c for c in word)
+            if rng.random() < 0.15:  # spellings that only case folding matches
+                word = word.replace("s", "\u017f").replace("k", "\u212a")
+            # "" and "s" put the next word or a suffix off the word boundary
+            out += word + rng.choice([" ", " ", ", ", "-", "", "s "])
+        return out
+
+    flagged = 0
+    for _ in range(2000):
+        record = {"erroneous_steps": [
+            {"text": text(), "rule_text": text(), "conclusion_text": text(),
+             "support_texts": [text() for _ in range(rng.randint(0, 3))]}
+            for _ in range(rng.randint(1, 4))]}
+        k = rng.randint(1, 4)
+        violations = leak_lint(record, k)
+        assert violations == _lint_reference(record, k)
+        flagged += any(not v.text.isascii() for v in violations)
+    assert flagged > 50
 
 
 def test_golden_realizations_are_lint_clean():

@@ -2,7 +2,7 @@
 """The corpus-bytes gate: a corpus is a pure function of (config, seed),
 byte-identical across worker counts.
 
-    python3 tools/bytes_gate.py [--count N]
+    python3 tools/bytes_gate.py [--count N] [--read]
 
 Runs ``counterchain synth --count N`` (default 2000) into a temporary
 directory for three workloads, seed 7 and seed 11 with the default config and
@@ -12,6 +12,14 @@ the ``src`` tree next to this script. Prints the sha256 of each corpus and of
 its ``.stats`` file, one run per line, and exits 1 when the two worker counts
 of a workload disagree on either file (or a run fails), else 0. Comparing the
 printed digests with those of another checkout is the caller's part.
+
+``--read`` also runs the read commands on each workload's ``--workers 1``
+corpus: ``verify``, ``stats``, ``eval --include-correct --report``,
+``realize`` in both NL modes, and ``verify`` of each realized file. It prints
+each command's exit code, the sha256 of its stdout and of the file it wrote,
+and exits 1 when a command exits non-zero. Every command runs in the
+temporary directory on relative paths, so the ``realized_from`` header of a
+realized file is the same in every checkout.
 """
 
 from __future__ import annotations
@@ -36,49 +44,80 @@ WORKLOADS = {
 }
 WORKERS = (1, 2)
 
+# label, counterchain arguments, file written; {corpus} is the workload's
+# --workers 1 corpus and {name} the workload's name
+READS = (
+    ("verify", ["verify", "{corpus}"], None),
+    ("stats", ["stats", "{corpus}"], None),
+    ("eval", ["eval", "--corpus", "{corpus}", "--include-correct",
+              "--report", "{name}-report.json"], "{name}-report.json"),
+    ("realize-clean", ["realize", "{corpus}", "--out", "{name}-clean.jsonl",
+                       "--nl-mode", "clean"], "{name}-clean.jsonl"),
+    ("realize-annotated", ["realize", "{corpus}", "--out", "{name}-annotated.jsonl",
+                           "--nl-mode", "annotated"], "{name}-annotated.jsonl"),
+    ("verify-clean", ["verify", "{name}-clean.jsonl"], None),
+    ("verify-annotated", ["verify", "{name}-annotated.jsonl"], None),
+)
+
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run(count: int, workdir: Path) -> tuple[list[str], bool]:
-    """The report lines and whether every workload agreed across workers."""
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+def _cli(args: list[str], workdir: Path) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "counterchain.cli", *args],
+                          cwd=workdir, env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True)
+
+
+def run(count: int, workdir: Path, read: bool = False) -> tuple[list[str], bool]:
+    """The report lines and whether every workload agreed across workers
+    (and, with ``read``, every read command exited 0)."""
     lines, ok = [], True
     for name, (seed, config) in WORKLOADS.items():
         digests = set()
         for workers in WORKERS:
-            out = workdir / f"{name}-w{workers}.jsonl"
-            argv = [sys.executable, "-m", "counterchain.cli", "synth", "--count",
-                    str(count), "--seed", str(seed), "--workers", str(workers),
-                    "--out", str(out)]
+            out = f"{name}-w{workers}.jsonl"
+            args = ["synth", "--count", str(count), "--seed", str(seed),
+                    "--workers", str(workers), "--out", out]
             if config is not None:
-                cfg = workdir / f"{name}.cfg"
-                cfg.write_text(config, encoding="utf-8")
-                argv += ["--config", str(cfg)]
-            done = subprocess.run(argv, env=env, capture_output=True, text=True)
+                (workdir / f"{name}.cfg").write_text(config, encoding="utf-8")
+                args += ["--config", f"{name}.cfg"]
+            done = _cli(args, workdir)
             if done.returncode != 0:
-                lines.append(f"{name} workers={workers} FAILED (exit "
-                             f"{done.returncode}): {done.stderr.strip()[-300:]}")
+                lines.append(f"{name} workers={workers} FAILED (exit {done.returncode}): "
+                             f"{done.stderr.decode(errors='replace').strip()[-300:]}")
                 ok = False
                 continue
-            corpus, stats = _sha256(out), _sha256(Path(f"{out}.stats"))
+            corpus, stats = _sha256(workdir / out), _sha256(workdir / f"{out}.stats")
             digests.add((corpus, stats))
             lines.append(f"{name} workers={workers} corpus {corpus} stats {stats}")
         if len(digests) != 1:
             lines.append(f"{name}: worker counts disagree")
             ok = False
+        if read and (workdir / f"{name}-w1.jsonl").exists():
+            for label, args, written in READS:
+                done = _cli([a.format(corpus=f"{name}-w1.jsonl", name=name)
+                             for a in args], workdir)
+                line = (f"{name} {label} exit {done.returncode} "
+                        f"stdout {hashlib.sha256(done.stdout).hexdigest()}")
+                if written is not None and done.returncode == 0:
+                    line += f" file {_sha256(workdir / written.format(name=name))}"
+                lines.append(line)
+                ok = ok and done.returncode == 0
     return lines, ok
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--count", type=int, default=2000)
+    parser.add_argument("--read", action="store_true",
+                        help="also run the read commands on each --workers 1 corpus")
     args = parser.parse_args(argv)
     if args.count < 1:
         parser.error("--count must be at least 1")
     with tempfile.TemporaryDirectory(prefix="bytes-gate-") as tmp:
-        lines, ok = run(args.count, Path(tmp))
+        lines, ok = run(args.count, Path(tmp), read=args.read)
     print("\n".join(lines))
     print("ok" if ok else "MISMATCH")
     return 0 if ok else 1
