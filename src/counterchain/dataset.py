@@ -137,6 +137,13 @@ def _parsed(parse, value, field: str):
     return parse(value)
 
 
+def _array(value, field: str) -> list:
+    """``value`` if it is a JSON array: an object would iterate as its keys."""
+    if not isinstance(value, list):
+        raise TypeError(f"{field} must be an array, not {type(value).__name__}")
+    return value
+
+
 def _integer(value, field: str, line_number: Optional[int]) -> int:
     """``value`` if it is a JSON integer (``true``, ``7.0``, ``"7"`` are not)."""
     if type(value) is not int:
@@ -148,7 +155,7 @@ def _step_from_obj(obj: dict, index: int, chain: str) -> Step:
     return Step(
         index=index,
         supports=tuple(_parsed(parse_literal, t, f"{chain} supports entry")
-                       for t in obj["supports"]),
+                       for t in _array(obj["supports"], f"{chain} supports")),
         rule=_parsed(parse_rule, obj["rule"], f"{chain} rule"),
         conclusion=_parsed(parse_literal, obj["conclusion"], f"{chain} conclusion"),
     )
@@ -191,9 +198,9 @@ def serialize_instance(inst: Instance) -> str:
         "schema_version": SCHEMA_VERSION,
         "id": inst.id,
         "seed": inst.seed,
-        "goal": render_literal(inst.goal),
-        "base_facts": [render_literal(l) for l in inst.base_facts],
-        "rules": [render_rule(r) for r in inst.rules],
+        "goal": render_literal(inst.correct.goal),
+        "base_facts": [render_literal(l) for l in inst.correct.base_facts],
+        "rules": [render_rule(r) for r in inst.correct.rules],
         "correct_steps": [_step_to_obj(s) for s in inst.correct.steps],
         "erroneous_steps": [_step_to_obj(s) for s in inst.erroneous.steps],
         "first_error_index": inst.k,
@@ -222,9 +229,11 @@ def deserialize_instance(line: str, line_number: Optional[int] = None) -> Instan
             f"schema_version {version!r} unsupported (expected {SCHEMA_VERSION})")
     try:
         goal = _parsed(parse_literal, obj["goal"], "goal")
-        base = tuple(_parsed(parse_literal, t, "base_facts entry") for t in obj["base_facts"])
-        rules = tuple(_parsed(parse_rule, t, "rules entry") for t in obj["rules"])
-        correct_objs = obj["correct_steps"]
+        base = tuple(_parsed(parse_literal, t, "base_facts entry")
+                     for t in _array(obj["base_facts"], "base_facts"))
+        rules = tuple(_parsed(parse_rule, t, "rules entry")
+                      for t in _array(obj["rules"], "rules"))
+        correct_objs = _array(obj["correct_steps"], "correct_steps")
         correct_steps = tuple(_step_from_obj(s, i + 1, "correct_steps")
                               for i, s in enumerate(correct_objs))
         # an erroneous step stored as the correct step at its position is
@@ -232,7 +241,7 @@ def deserialize_instance(line: str, line_number: Optional[int] = None) -> Instan
         erroneous_steps = tuple(
             correct_steps[i] if i < len(correct_objs) and s == correct_objs[i]
             else _step_from_obj(s, i + 1, "erroneous_steps")
-            for i, s in enumerate(obj["erroneous_steps"]))
+            for i, s in enumerate(_array(obj["erroneous_steps"], "erroneous_steps")))
         for name, steps in (("correct_steps", correct_steps),
                             ("erroneous_steps", erroneous_steps)):
             if not steps:
@@ -256,8 +265,7 @@ def deserialize_instance(line: str, line_number: Optional[int] = None) -> Instan
         extras = {k: v for k, v in obj.items() if k not in _KNOWN_KEYS}
         stored = {k: obj[k] for k in _DERIVED_KEYS if k in obj}
         return Instance(
-            id=obj["id"], goal=goal, base_facts=base, rules=rules,
-            correct=correct, erroneous=erroneous,
+            id=obj["id"], correct=correct, erroneous=erroneous,
             seed=_integer(obj.get("seed", 0), "seed", line_number),
             context=profile, nl=obj.get("nl"), extras=extras, stored=stored,
         )
@@ -479,7 +487,6 @@ def build_instance(cfg: CorpusConfig, index: int,
                 continue
             inst = Instance(
                 id=f"{cfg.seed & 0xFFFFFFFF:08x}-{index:06d}",
-                goal=chain.goal, base_facts=chain.base_facts, rules=chain.rules,
                 correct=chain, erroneous=err, seed=seed,
             )
             report = verify_first_error(inst)
@@ -532,7 +539,7 @@ def _worker_build(args: tuple[int, str],
     index, target_value = args
     inst, reasons = build_instance(_WORKER_CFG, index, ErrorType(target_value))
     line = serialize_instance(inst)
-    templates = tuple({r.template.value for r in inst.rules})
+    templates = tuple({r.template.value for r in inst.correct.rules})
     return line, target_value, len(inst.correct.steps), templates, reasons
 
 

@@ -31,7 +31,8 @@ class JudgeContext:
 
     @classmethod
     def for_instance(cls, inst: Instance) -> "JudgeContext":
-        return cls(inst.goal, inst.base_facts, inst.rules, inst.correct.theory())
+        chain = inst.correct
+        return cls(chain.goal, chain.base_facts, chain.rules, chain.theory())
 
 
 class Judge(Protocol):

@@ -25,8 +25,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .logic import Literal, Rule, RuleTemplate
-from .prover import (_CATALOG, Direction, InferencePattern, Status, match_pattern,
-                     patterns_concluding_fact)
+from .prover import Direction, InferencePattern, Status, match_pattern, patterns_deriving
 from .synthesis import CorrectChain, Prefix, Step, known_supports, topological_order
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -80,9 +79,6 @@ class ErroneousChain:
 @dataclass(frozen=True)
 class Instance:
     id: str
-    goal: Literal
-    base_facts: tuple[Literal, ...]
-    rules: tuple[Rule, ...]
     correct: CorrectChain
     erroneous: ErroneousChain
     seed: int = 0
@@ -164,8 +160,7 @@ def _premise_still_established(step: Step, established: set[Literal]) -> Optiona
     a premise not established. Otherwise, why it misses none."""
     if any(l not in established for l in step.supports):
         return None
-    patterns = [p for p in patterns_concluding_fact(step.rule, step.conclusion.fact)
-                if p.derived[1] == step.conclusion.value]
+    patterns = patterns_deriving(step.rule, step.conclusion)
     if not patterns:
         return "no pattern can conclude the corrupted step's literal"
     if all(any(p not in established for p in pat.bind_premises(step.rule))
@@ -174,15 +169,15 @@ def _premise_still_established(step: Step, established: set[Literal]) -> Optiona
     return "every required premise is established"
 
 
-# corruptions: step k as its type rewrites it
+# corruptions: step k as its type rewrites it; ``seed`` is the site's seed
 
 
-def _negate(chain: CorrectChain, k: int, rng: random.Random) -> Step:
+def _negate(chain: CorrectChain, k: int, seed: int) -> Step:
     step = chain.steps[k - 1]
     return replace(step, conclusion=step.conclusion.negated())
 
 
-def _dual_reading(chain: CorrectChain, k: int, rng: random.Random) -> Step:
+def _dual_reading(chain: CorrectChain, k: int, seed: int) -> Step:
     """Read the connective as its dual: conclude the negation of the
     established premise the dual reading would force, the false disjunct of
     a forward OR_CONS or the true conjunct of a backward AND_ANTE."""
@@ -195,15 +190,15 @@ def _dual_reading(chain: CorrectChain, k: int, rng: random.Random) -> Step:
     return Step(k, known_supports(step.rule, wrong.fact, known), step.rule, wrong)
 
 
-def _vacuous(chain: CorrectChain, k: int, rng: random.Random) -> Step:
-    a, b = (hook := rng.choice(_hooks(chain, k)[0])).slots
+def _vacuous(chain: CorrectChain, k: int, seed: int) -> Step:
+    a, b = (hook := random.Random(seed).choice(_hooks(chain, k)[0])).slots
     return Step(k, (Literal(a, False),), hook, Literal(b, False))
 
 
-def _converse(chain: CorrectChain, k: int, rng: random.Random) -> Step:
+def _converse(chain: CorrectChain, k: int, seed: int) -> Step:
     hooks = _hooks(chain, k)[1]
     if hooks:
-        a, b = (hook := rng.choice(hooks)).slots
+        a, b = (hook := random.Random(seed).choice(hooks)).slots
         return Step(k, (Literal(b, True),), hook, Literal(a, True))
     # in-place converse of the step's own implication
     step = chain.steps[k - 1]
@@ -213,7 +208,7 @@ def _converse(chain: CorrectChain, k: int, rng: random.Random) -> Step:
     return Step(k, (Literal(a, False),), step.rule, Literal(b, False))
 
 
-def _drop_bridge(chain: CorrectChain, k: int, rng: random.Random) -> Step:
+def _drop_bridge(chain: CorrectChain, k: int, seed: int) -> Step:
     """Step k's consumer, run at k without step k's conclusion. Refused where
     ``verify_first_error`` would refuse it: when it still has every premise."""
     consumer = chain.steps[k]
@@ -225,10 +220,10 @@ def _drop_bridge(chain: CorrectChain, k: int, rng: random.Random) -> Step:
     return corrupted
 
 
-def _rewire_to_future(chain: CorrectChain, k: int, rng: random.Random) -> Step:
+def _rewire_to_future(chain: CorrectChain, k: int, seed: int) -> Step:
     """Step k citing a later step's conclusion in place of an open slot."""
     step = chain.steps[k - 1]
-    _, future = rng.choice(_cycle_sites(chain, k))
+    _, future = random.Random(seed).choice(_cycle_sites(chain, k))
     known = {l.fact: l for l in step.supports}
     known[future.fact] = future
     return Step(k, known_supports(step.rule, step.conclusion.fact, known),
@@ -272,15 +267,16 @@ def _cycle_problem(err: ErroneousChain, established: set[Literal]) -> Optional[s
 @dataclass(frozen=True)
 class ErrorRow:
     """One error type. ``admits(chain, k, pattern)``: the type applies at
-    step k, whose applied pattern is ``pattern``. ``corrupt(chain, k, rng)``:
-    step k corrupted, or ``InjectionInfeasible``. ``check``: what
+    step k, whose applied pattern is ``pattern``. ``corrupt(chain, k, seed)``:
+    step k corrupted, or ``InjectionInfeasible``; a row that draws makes its
+    one draw from ``random.Random(seed)``. ``check``: what
     ``verify_first_error`` runs; a truth-state check takes the replayed prefix
     and returns a list of problems, a structural one the literals established
     before k and returns a problem or None. ``length_shift``: steps added.
     The defaults make a truth-state row that negates step k's conclusion."""
 
     admits: Callable[[CorrectChain, int, InferencePattern], bool]
-    corrupt: Callable[[CorrectChain, int, random.Random], Step] = _negate
+    corrupt: Callable[[CorrectChain, int, int], Step] = _negate
     check: Callable = _non_derivable
     group: ErrorGroup = ErrorGroup.TRUTH_STATE
     length_shift: int = 0
@@ -323,7 +319,8 @@ ROWS: dict[ErrorType, ErrorRow] = {
         ErrorGroup.STRUCTURAL),
     ErrorType.REDUNDANT_STEP: ErrorRow(
         lambda chain, k, p: k >= 2,
-        lambda chain, k, rng: replace(chain.steps[rng.randrange(k - 1)], index=k),
+        lambda chain, k, seed: replace(chain.steps[random.Random(seed).randrange(k - 1)],
+                                       index=k),
         lambda err, established: None if err.corrupted.conclusion in established
         else "conclusion was not already established",
         ErrorGroup.STRUCTURAL, length_shift=1),
@@ -354,7 +351,7 @@ def inject(chain: CorrectChain, k: int, e: ErrorType, seed: int) -> ErroneousCha
     row = ROWS[e]
     if not row.applies(chain, k):
         raise InjectionInfeasible(f"{e.value} does not apply at step {k}")
-    corrupted = row.corrupt(chain, k, random.Random(seed))
+    corrupted = row.corrupt(chain, k, seed)
     if corrupted.content_equals(chain.steps[k - 1]):
         raise InjectionInfeasible("canonical corruption coincides with the correct step")
     corrupted_prefix = chain.steps[: k - 1] + (corrupted,)
@@ -369,13 +366,14 @@ def recompute_downstream(chain: CorrectChain, corrupted_prefix: Sequence[Step],
     """Re-derive the continuation under the state left by the corrupted prefix.
 
     Each remaining original step re-applies its rule toward the same target
-    fact, with the first licensed pattern of that rule, in catalog order,
-    that concludes the fact and whose premises hold. Which one fires does not
-    matter: two patterns of a template that conclude one slot with opposite
-    values have premises that cannot hold together, so every pattern that
-    fires derives the same literal. Recomputation is pattern application on
-    the explicit state; the corrupted state may globally contradict the
-    theory and no entailment is consulted.
+    fact, with the first licensed pattern of that rule whose premises hold:
+    those deriving the fact false, then those deriving it true, each in
+    catalog order. Which one fires does not matter: two patterns of a
+    template that conclude one slot with opposite values have premises that
+    cannot hold together, so every pattern that fires derives the same
+    literal. Recomputation is pattern application on the explicit state; the
+    corrupted state may globally contradict the theory and no entailment is
+    consulted.
     """
     if originals is None:
         originals = chain.steps[len(corrupted_prefix):]
@@ -390,11 +388,11 @@ def recompute_downstream(chain: CorrectChain, corrupted_prefix: Sequence[Step],
     for original in originals:
         rule = original.rule
         slots, target = rule.slots, original.conclusion.fact
-        for applied in _CATALOG[rule.template]:
-            if (slots[applied.derived[0]] == target and
-                    all(known.get(slots[i]) == (slots[i], v) for i, v in applied.premises)):
-                break
-        else:
+        applied = next((p for value in (False, True)
+                        for p in patterns_deriving(rule, Literal(target, value))
+                        if all(known.get(slots[i]) == (slots[i], v) for i, v in p.premises)),
+                       None)
+        if applied is None:
             raise DownstreamStuck(f"no licensed pattern applies at original step "
                                   f"{original.index}")
         if target in known:
@@ -477,7 +475,7 @@ def verify_first_error(inst: Instance) -> InstanceReport:
                 break
             values[step.conclusion.fact] = step.conclusion.value
 
-    if err.steps[-1].conclusion.fact != inst.goal.fact:
+    if err.steps[-1].conclusion.fact != chain.goal.fact:
         failures.append("final step does not target the goal fact")
 
     return InstanceReport(not failures, tuple(failures))

@@ -125,9 +125,9 @@ class ModelTable:
     ``fixed`` assigns at most one value per fact, all in the theory's universe.
     ``slots`` numbers the free facts in universe order; ``columns`` maps every
     universe fact to its column, a fixed fact's being the constant all-ones
-    (true) or ``0`` (false), so ``restrict`` and ``decide`` treat both alike.
-    Free assignments keep the index order of the full ones, so ``decide``'s
-    witness is the one the full table restricted to ``fixed`` gives.
+    (true) or ``0`` (false), so ``restrict``, ``entailed`` and ``decide`` treat
+    both alike. Free assignments keep the index order of the full ones, so
+    ``decide``'s witness is the one the full table restricted to ``fixed`` gives.
     """
 
     def __init__(self, theory: Theory, fixed: Iterable[Literal] = ()):
@@ -160,12 +160,19 @@ class ModelTable:
             rows = self.restrict(rows, lit)
         return rows
 
+    def entailed(self, rows: int, lit: Literal) -> bool:
+        """``rows`` is non-empty and lies all in ``lit``'s column (true) or all
+        outside it (false); a fact outside the universe is never entailed."""
+        column = self.columns.get(lit.fact)
+        return (column is not None and rows != 0
+                and rows & column == (rows if lit.value else 0))
+
     def decide(self, rows: int, q: Literal) -> EntailmentResult:
         if not rows:
             return EntailmentResult(Status.INCONSISTENT)
-        against = rows ^ self.restrict(rows, q)
-        if not against:
+        if self.entailed(rows, q):
             return EntailmentResult(Status.ENTAILED)
+        against = rows ^ self.restrict(rows, q)
         # the lowest disagreeing assignment, so the witness is deterministic
         counter = (against & -against).bit_length() - 1
         slots, fixed = self.slots, self.fixed
@@ -309,13 +316,10 @@ def match_pattern(rule: Rule, supports: Iterable[Literal],
     equal the conclusion.
     """
     slots = rule.slots
-    fact, value = conclusion
-    if fact not in slots:
-        return None
     # a Literal is a (fact, value) tuple, so a plain tuple finds it; a step
     # lists a support or two, so a tuple scan beats building a set
     known = tuple(supports)
-    for pattern in _CONCLUDING[rule.template].get((slots.index(fact), value), ()):
+    for pattern in patterns_deriving(rule, conclusion):
         for i, v in pattern.premises:
             if (slots[i], v) not in known:
                 break
@@ -332,10 +336,14 @@ _CONCLUDING: dict[RuleTemplate, dict[tuple[int, bool], tuple[InferencePattern, .
     for template, patterns in _CATALOG.items()}
 
 
-def patterns_concluding_fact(rule: Rule, fact: FactId) -> tuple[InferencePattern, ...]:
-    """Licensed patterns of ``rule`` that derive ``fact``, either value."""
-    facts = rule.facts()
-    return tuple(p for p in licensed_patterns(rule) if facts[p.derived[0]] == fact)
+def patterns_deriving(rule: Rule, lit: Literal) -> tuple[InferencePattern, ...]:
+    """The licensed patterns of ``rule`` that derive ``lit``, in catalog
+    order; none when ``lit``'s fact is not a slot of the rule."""
+    slots = rule.slots
+    fact, value = lit
+    if fact not in slots:
+        return ()
+    return _CONCLUDING[rule.template][slots.index(fact), value]
 
 
 def propagate(theory: Theory, s: State) -> State:

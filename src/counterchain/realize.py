@@ -268,10 +268,11 @@ _ANNOTATIONS = {
 
 
 def _mentioned_facts(inst: Instance) -> Iterator[FactId]:
-    yield inst.goal.fact
-    for lit in inst.base_facts:
+    chain = inst.correct
+    yield chain.goal.fact
+    for lit in chain.base_facts:
         yield lit.fact
-    for rule in inst.rules:
+    for rule in chain.rules:
         yield from rule.facts()
     for step in (*inst.correct.steps, *inst.erroneous.steps):
         yield from step.rule.facts()
@@ -296,7 +297,7 @@ def realize_instance(inst: Instance, pmap: PredicateMap, mode: str = "clean",
     if stray is not None:
         raise PredicateMapInvalid(f"{stray} is outside the record's universe")
     rule_texts = {rule: _realize_rule(rule, pmap, seed, i)
-                  for i, rule in enumerate(inst.rules)}
+                  for i, rule in enumerate(inst.correct.rules)}
     correct, erroneous = inst.correct.steps, inst.erroneous.steps
     # a step frame depends only on the position, so both chains share it
     step_frames = [_frame_pick(lexicon.STEP_FRAMES, seed, 113, i)
@@ -316,9 +317,9 @@ def realize_instance(inst: Instance, pmap: PredicateMap, mode: str = "clean",
         "predicates": {str(f): {"predicate": e.predicate, "true": e.positive,
                                 "false": e.negative}
                        for f, e in sorted(pmap.entries.items())},
-        "goal_text": goal_frame.format(concl=pmap.clause(inst.goal)),
-        "base_fact_texts": [pmap.sentence(l) for l in inst.base_facts],
-        "rule_texts": [rule_texts[r] for r in inst.rules],
+        "goal_text": goal_frame.format(concl=pmap.clause(inst.correct.goal)),
+        "base_fact_texts": [pmap.sentence(l) for l in inst.correct.base_facts],
+        "rule_texts": [rule_texts[r] for r in inst.correct.rules],
         "correct_steps": correct_records,
         # an erroneous step equal to the correct one at its position renders
         # the same; it gets a copy, since annotated mode adds to it below

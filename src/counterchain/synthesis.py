@@ -648,18 +648,6 @@ def synthesize_chain(cfg: SynthesisConfig, seed: int) -> CorrectChain:
 
 
 @dataclass(frozen=True)
-class StepCheck:
-    semantic: bool
-    procedural: bool
-    pattern: bool
-    fresh_conclusion: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.semantic and self.procedural and self.pattern and self.fresh_conclusion
-
-
-@dataclass(frozen=True)
 class ChainReport:
     valid: bool
     failures: tuple[str, ...]
@@ -695,46 +683,35 @@ class Prefix:
         self.established.add(lit)
         self.rows = self.table.restrict(self.rows, lit)
 
-    def check(self, step: Step) -> StepCheck:
-        """Validity of one step against the prefix.
-
-        procedural: every support is a base fact or an earlier conclusion;
-        pattern:    (supports, conclusion) instantiates a licensed direction and
-                    mentions only rule facts;
-        fresh:      the concluded fact is not already assigned;
-        semantic:   supports and conclusion are entailed by (theory, prefix); a
-                    fact outside the theory's universe is never entailed.
-        """
-        values, established = self.values, self.established
-        rule, supports, conclusion = step.rule, step.supports, step.conclusion
+    def check(self, step: Step) -> list[str]:
+        """The step's faults against the prefix, as ``verify_chain`` prints
+        them, in order: a support that is no base fact or earlier conclusion;
+        no licensed direction instantiated, or a support off the rule or on
+        the concluded fact; the concluded fact already assigned; a support or
+        the conclusion neither assigned nor entailed. Empty for a valid step."""
+        values, rule = self.values, step.rule
+        supports, conclusion = step.supports, step.conclusion
         slots, concluded = rule.slots, conclusion.fact
-        procedural, in_rule = True, concluded in slots
-        for lit in supports:
-            if lit not in established:
-                procedural = False
-            if lit.fact == concluded or lit.fact not in slots:
-                in_rule = False
-        pattern = in_rule and match_pattern(rule, supports, conclusion) is not None
-        fresh = concluded not in values
-        # a literal the prefix does not assign is entailed when the rows are
-        # consistent and every row agrees with it: the rows all lie in its
-        # fact's column (true) or all outside it (false)
-        columns, rows = self.table.columns, self.rows
-        semantic = True
-        for fact, value in (*supports, conclusion):
-            if values.get(fact) == value:
-                continue
-            column = columns.get(fact)
-            if column is None or not rows or (rows & column) != (rows if value else 0):
-                semantic = False
+        faults = []
+        if not self.established.issuperset(supports):
+            faults.append("support not established")
+        if (any(fact == concluded or fact not in slots for fact, _ in supports)
+                or match_pattern(rule, supports, conclusion) is None):
+            faults.append("no licensed pattern matches")
+        if concluded in values:
+            faults.append("fact concluded twice")
+        entailed, rows = self.table.entailed, self.rows
+        for lit in (*supports, conclusion):
+            if values.get(lit.fact) != lit.value and not entailed(rows, lit):
+                faults.append("not entailed by prefix")
                 break
-        return StepCheck(semantic, procedural, pattern, fresh)
+        return faults
 
     def replay(self, steps: Sequence[Step]) -> int:
-        """Extend by each step's conclusion while the step checks ``ok``;
-        returns the number of steps that did."""
+        """Extend by each step's conclusion up to the first step with a
+        fault; returns the number of steps before it."""
         for done, step in enumerate(steps):
-            if not self.check(step).ok:
+            if self.check(step):
                 return done
             self.extend(step.conclusion)
         return len(steps)
@@ -758,16 +735,9 @@ def verify_chain(chain: CorrectChain) -> ChainReport:
     for step in chain.steps:
         if step.rule not in rule_set:
             failures.append(f"step {step.index}: rule not in the chain's rule list")
-        check = prefix.check(step)
-        if not check.procedural:
-            failures.append(f"step {step.index}: support not established")
-        if not check.pattern:
-            failures.append(f"step {step.index}: no licensed pattern matches")
-        if not check.fresh_conclusion:
-            failures.append(f"step {step.index}: fact concluded twice")
-        if not check.semantic:
-            failures.append(f"step {step.index}: not entailed by prefix")
-        if check.fresh_conclusion:
+        for fault in prefix.check(step):
+            failures.append(f"step {step.index}: {fault}")
+        if step.conclusion.fact not in prefix.values:
             prefix.extend(step.conclusion)
 
     try:

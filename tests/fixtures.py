@@ -91,9 +91,6 @@ def bakery_instance() -> Instance:
     )
     return Instance(
         id="golden-bakery",
-        goal=correct.goal,
-        base_facts=correct.base_facts,
-        rules=correct.rules,
         correct=correct,
         erroneous=erroneous,
     )
@@ -141,9 +138,6 @@ def navigator_instance() -> Instance:
     )
     return Instance(
         id="golden-navigator",
-        goal=correct.goal,
-        base_facts=correct.base_facts,
-        rules=correct.rules,
         correct=correct,
         erroneous=erroneous,
     )

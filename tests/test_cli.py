@@ -622,6 +622,18 @@ def _padded_step_rule(header, records):
     records[0]["correct_steps"][0]["rule"] += " "
 
 
+def _as_object(*path):
+    """The list at ``path`` in the first record stored as an object keyed by
+    its entries, which iterates as the same texts."""
+    def tamper(header, records):
+        *parents, last = path
+        target = records[0]
+        for key in parents:
+            target = target[key]
+        target[last] = dict.fromkeys(target[last], 0)
+    return tamper
+
+
 def _one_record_counted_true(header, records):
     # true == 1, so only a type check tells this header from a valid one
     del records[1:]
@@ -691,6 +703,11 @@ _BAD_INPUTS = {
     "rule-double-brackets": (_corpus("verify", _double_bracket_rule), 2,
                              "cannot read corpus: "),
     "step-rule-padded": (_corpus("realize", _padded_step_rule), 2, "cannot read corpus: "),
+    "base-facts-object": (_corpus("verify", _as_object("base_facts")), 2,
+                          "cannot read corpus: "),
+    "rules-object": (_corpus("verify", _as_object("rules")), 2, "cannot read corpus: "),
+    "supports-object": (_corpus("verify", _as_object("correct_steps", 0, "supports")), 2,
+                        "cannot read corpus: "),
     "error-index-float": (_corpus("verify", _set("first_error_index", 2.5)), 2,
                           "cannot read corpus: "),
     "error-index-text": (_corpus("verify", _as_text("first_error_index")), 2,

@@ -86,9 +86,9 @@ def test_serialize_round_trip_golden():
     for inst in (fixtures.bakery_instance(), fixtures.navigator_instance()):
         line = serialize_instance(inst)
         back = deserialize_instance(line)
-        assert back.goal == inst.goal
-        assert back.base_facts == inst.base_facts
-        assert back.rules == inst.rules
+        assert back.correct.goal == inst.correct.goal
+        assert back.correct.base_facts == inst.correct.base_facts
+        assert back.correct.rules == inst.correct.rules
         assert back.k == inst.k
         assert back.error_type == inst.error_type
         for got, want in zip(back.correct.steps, inst.correct.steps):
@@ -296,7 +296,9 @@ def test_pinned_corpora_do_not_depend_on_the_hash_seed(tmp_path, hash_seed):
 def test_bytes_gate_tool_reports_each_run(tmp_path):
     """``tools/bytes_gate.py --read`` prints a corpus and stats digest per
     workload and worker count, then each read command's exit code and
-    digests, and exits 0 when the worker counts agree and every read exits 0."""
+    digests, and last the exit code and stdout digest of ``verify`` on a
+    tampered copy; it exits 0 when the worker counts agree, every read exits 0
+    and every tampered copy fails ``verify``."""
     root = Path(__file__).resolve().parents[1]
     result = subprocess.run([sys.executable, str(root / "tools" / "bytes_gate.py"),
                              "--count", "3", "--read"], cwd=tmp_path, capture_output=True,
@@ -310,9 +312,10 @@ def test_bytes_gate_tool_reports_each_run(tmp_path):
     assert all(len(r[3]) == len(r[5]) == 64 for r in runs)
     reads = [line.split() for line in lines if " stdout " in line]
     labels = ["verify", "stats", "eval", "realize-clean", "realize-annotated",
-              "verify-clean", "verify-annotated"]
+              "verify-clean", "verify-annotated", "verify-tampered"]
     assert [(r[0], r[1]) for r in reads] == [(n, l) for n in names for l in labels]
-    assert all(r[2:4] == ["exit", "0"] and len(r[5]) == 64 for r in reads)
+    assert all(r[2:4] == ["exit", "1" if r[1] == "verify-tampered" else "0"]
+               and len(r[5]) == 64 for r in reads)
     assert [len(r) for r in reads if r[1] in ("eval", "realize-clean")] == [8] * 6
     # every file goes to the tool's temporary directory, none to the caller's
     assert not list(tmp_path.iterdir())

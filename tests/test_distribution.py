@@ -69,7 +69,7 @@ def corpus_metrics(insts: list[Instance]) -> dict[str, float]:
     out["mean_steps"] = step_total / n
     out["mean_side_steps"] = sum(map(side_step_count, insts)) / n
     out["changed_share"] = sum(map(continuation_changed, insts)) / n
-    out["flip_share"] = sum(i.reached_goal_polarity != i.goal.value for i in insts) / n
+    out["flip_share"] = sum(i.reached_goal_polarity != i.correct.goal.value for i in insts) / n
     return out
 
 

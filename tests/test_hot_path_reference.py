@@ -24,11 +24,15 @@ from counterchain.injection import (ROWS, DownstreamStuck, ErroneousChain, Error
 from counterchain.logic import (TEMPLATES, FactId, Literal, Rule, RuleTemplate, State,
                                 TruthValue, render_literal, render_rule)
 from counterchain.prover import (_CATALOG, InferencePattern, Status, Theory, match_pattern,
-                                 model_table, patterns_concluding_fact)
-from counterchain.synthesis import (Prefix, Step, StepCheck, SynthesisConfig, _draw,
-                                    _swaps_two, synthesize_chain, topological_order)
+                                 model_table)
+from counterchain.synthesis import (Prefix, Step, SynthesisConfig, _draw, _swaps_two,
+                                    synthesize_chain, topological_order)
 
 WIDE = SynthesisConfig(step_count=(10, 12), max_facts=20)
+
+# the faults ``Prefix.check`` reports, in the order it reports them
+FAULTS = ("support not established", "no licensed pattern matches",
+          "fact concluded twice", "not entailed by prefix")
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +52,11 @@ def ref_match_pattern(rule: Rule, supports: Iterable[Literal],
         if all((slots[i], v) in known for i, v in pattern.premises):
             return pattern
     return None
+
+
+def ref_patterns_concluding_fact(rule: Rule, fact: FactId) -> tuple[InferencePattern, ...]:
+    facts = rule.facts()
+    return tuple(p for p in _CATALOG[rule.template] if facts[p.derived[0]] == fact)
 
 
 def ref_step_supports(rule: Rule, conclusion_fact: FactId, state: State) -> tuple[Literal, ...]:
@@ -74,7 +83,7 @@ class RefPrefix:
         self.established.add(lit)
         self.rows = self.table.restrict(self.rows, lit)
 
-    def check(self, step: Step) -> StepCheck:
+    def check(self, step: Step) -> list[str]:
         table, rows, state = self.table, self.rows, self.state
         rule_facts = set(step.rule.facts())
         procedural = all(lit in self.established for lit in step.supports)
@@ -87,11 +96,12 @@ class RefPrefix:
         semantic = all(state.holds(lit) or (lit.fact in table.columns and
                                             table.decide(rows, lit).status is Status.ENTAILED)
                        for lit in (*step.supports, step.conclusion))
-        return StepCheck(semantic, procedural, pattern, fresh)
+        return [fault for fault, ok in zip(FAULTS, (procedural, pattern, fresh, semantic))
+                if not ok]
 
     def replay(self, steps: Sequence[Step]) -> int:
         for done, step in enumerate(steps):
-            if not self.check(step).ok:
+            if self.check(step):
                 return done
             self.extend(step.conclusion)
         return len(steps)
@@ -110,7 +120,7 @@ def ref_recompute_downstream(chain, corrupted_prefix, *, originals=None) -> list
         target = original.conclusion.fact
         used = ref_match_pattern(original.rule, original.supports, original.conclusion)
         # the originally used pattern first, the others in catalog order
-        candidates = sorted(patterns_concluding_fact(rule, target), key=lambda p: p != used)
+        candidates = sorted(ref_patterns_concluding_fact(rule, target), key=lambda p: p != used)
         applied = None
         for pattern in candidates:
             if all(state.holds(p) for p in pattern.bind_premises(rule)):
@@ -176,7 +186,7 @@ def ref_verify_first_error(inst: Instance) -> InstanceReport:
                 break
             cf_state = cf_state.with_literal(step.conclusion)
 
-    if err.steps[-1].conclusion.fact != inst.goal.fact:
+    if err.steps[-1].conclusion.fact != chain.goal.fact:
         failures.append("final step does not target the goal fact")
 
     return InstanceReport(not failures, tuple(failures))
@@ -228,7 +238,7 @@ def _corruptions(chain, rng: random.Random):
         if types:
             e = rng.choice(types)
             try:
-                picks.append((e, ROWS[e].corrupt(chain, k, random.Random(rng.getrandbits(63)))))
+                picks.append((e, ROWS[e].corrupt(chain, k, rng.getrandbits(63))))
             except InjectionInfeasible:
                 pass
         for e, step in picks:
@@ -315,20 +325,19 @@ def _tampered_steps(chain, step, position, rng):
 def _walk_both(theory, start, steps, tampered=None) -> tuple[int, dict]:
     """Check ``steps`` against both prefixes, extending each by a step's
     conclusion when it is fresh; returns the count of checks and how often
-    each check failed."""
+    each fault was found."""
     new, ref = Prefix(theory, start), RefPrefix(theory, start)
-    checks, failed = 0, dict.fromkeys(("semantic", "procedural", "pattern",
-                                       "fresh_conclusion"), 0)
+    checks, failed = 0, dict.fromkeys(FAULTS, 0)
     for position, step in enumerate(steps):
         variants = [step] + (tampered(step, position) if tampered else [])
         for variant in variants:
             got, expected = new.check(variant), ref.check(variant)
             assert got == expected, (variant, got, expected)
             checks += 1
-            for name in failed:
-                failed[name] += not getattr(got, name)
+            for fault in got:
+                failed[fault] += 1
         assert new.values == ref.state._assignment and new.rows == ref.rows
-        if new.check(step).fresh_conclusion:
+        if "fact concluded twice" not in new.check(step):
             new.extend(step.conclusion)
             ref.extend(step.conclusion)
     return checks, failed
@@ -336,8 +345,7 @@ def _walk_both(theory, start, steps, tampered=None) -> tuple[int, dict]:
 
 def test_prefix_check_matches_reference(chains):
     rng = random.Random(11)
-    checks, failed = 0, dict.fromkeys(("semantic", "procedural", "pattern",
-                                       "fresh_conclusion"), 0)
+    checks, failed = 0, dict.fromkeys(FAULTS, 0)
     erroneous = 0
     for chain in chains:
         theory = chain.theory()
@@ -425,8 +433,7 @@ def test_verify_first_error_matches_reference(chains):
                 variants.append(steps[:j] + (again,) + steps[j + 1:])
                 variants.append(steps[:j] + (replace(step, supports=()),) + steps[j + 1:])
             for variant in variants:
-                inst = Instance("x", chain.goal, chain.base_facts, chain.rules, chain,
-                                ErroneousChain(variant, k, e))
+                inst = Instance("x", chain, ErroneousChain(variant, k, e))
                 got, expected = verify_first_error(inst), ref_verify_first_error(inst)
                 assert got == expected, (chain.goal, k, e)
                 verdicts["ok" if got.ok else "failed"] += 1

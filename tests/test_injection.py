@@ -122,8 +122,7 @@ def test_inject_drop_condition_flips_conclusion_and_propagates():
     assert err.steps[1].supports == chain.steps[1].supports
     # the xor consumer re-derives under the corrupted state
     assert err.steps[2].conclusion == parse_literal("[F3]=False")
-    inst = Instance(id="t", goal=chain.goal, base_facts=chain.base_facts,
-                    rules=chain.rules, correct=chain, erroneous=err)
+    inst = Instance(id="t", correct=chain, erroneous=err)
     assert verify_first_error(inst).ok
 
 
@@ -177,8 +176,7 @@ def test_verify_rejects_still_derivable_corruption():
     from counterchain import ErroneousChain
     err = ErroneousChain(steps=steps, first_error_index=1,
                          error_type=ErrorType.PARTIAL_EVALUATION)
-    inst = Instance(id="t", goal=chain.goal, base_facts=chain.base_facts,
-                    rules=chain.rules, correct=chain, erroneous=err)
+    inst = Instance(id="t", correct=chain, erroneous=err)
     report = verify_first_error(inst)
     assert not report.ok
     assert any("still-derivable" in f for f in report.failures)
@@ -187,8 +185,7 @@ def test_verify_rejects_still_derivable_corruption():
 def test_verify_rejects_wrong_k():
     inst = fixtures.bakery_instance()
     shifted = Instance(
-        id=inst.id, goal=inst.goal, base_facts=inst.base_facts,
-        rules=inst.rules, correct=inst.correct,
+        id=inst.id, correct=inst.correct,
         erroneous=type(inst.erroneous)(
             steps=inst.erroneous.steps,
             first_error_index=5,
@@ -206,8 +203,7 @@ def test_redundant_step_inserts_duplicate():
     assert any(dup.content_equals(s) for s in chain.steps[:2])
     for got, want in zip(err.steps[3:], chain.steps[2:]):
         assert got.content_equals(want)
-    inst = Instance(id="t", goal=chain.goal, base_facts=chain.base_facts,
-                    rules=chain.rules, correct=chain, erroneous=err)
+    inst = Instance(id="t", correct=chain, erroneous=err)
     assert verify_first_error(inst).ok
 
 
@@ -311,8 +307,7 @@ def test_every_admitted_site_injects_verifiably_or_is_refused(cfg, seed):
                 err = inject(chain, k, e, seed=seed ^ k)
             except (InjectionInfeasible, DownstreamStuck):
                 continue
-            inst = Instance(id="prop", goal=chain.goal, base_facts=chain.base_facts,
-                            rules=chain.rules, correct=chain, erroneous=err)
+            inst = Instance(id="prop", correct=chain, erroneous=err)
             report = verify_first_error(inst)
             assert report.ok, (e.value, k, report.failures)
 

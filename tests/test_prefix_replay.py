@@ -58,8 +58,7 @@ def _tampered(inst):
         swapped = (correct.steps[1], correct.steps[0]) + correct.steps[2:]
         yield "swap-correct-1-2", replace(inst, correct=replace(correct, steps=swapped))
     dropped = correct.base_facts[1:]
-    yield "drop-base-fact", replace(inst, base_facts=dropped,
-                                    correct=replace(correct, base_facts=dropped))
+    yield "drop-base-fact", replace(inst, correct=replace(correct, base_facts=dropped))
     for shift in (-1, 1):
         moved = replace(err, first_error_index=err.first_error_index + shift)
         yield f"k{shift:+d}", replace(inst, erroneous=moved)

@@ -31,6 +31,7 @@ from counterchain.prover import (
     UniverseTooLargeError,
     _column,
     match_pattern,
+    patterns_deriving,
     verify_catalog,
 )
 
@@ -302,6 +303,10 @@ def test_folded_table_decides_as_the_full_table(case):
     assert folded_rows.bit_count() == full_rows.bit_count()
     verdict = folded.decide(folded_rows, query)
     assert verdict == full.decide(full_rows, query)
+    assert folded.entailed(folded_rows, query) == (verdict.status is Status.ENTAILED)
+    outside = Literal(F(max(theory.universe) + 1), query.value)
+    assert not folded.entailed(folded_rows, outside)
+    assert not folded.entailed(0, query)
     if verdict.status is Status.NOT_ENTAILED:
         # the witness is the lowest countermodel, bit i of its index being
         # the value of the i-th universe fact
@@ -313,3 +318,18 @@ def test_folded_table_decides_as_the_full_table(case):
                     and all(rule_satisfied(rule, assignment) for rule in theory.rules)):
                 break
         assert verdict.witness == State(assignment)
+
+
+def test_patterns_deriving_lists_the_catalog_patterns_of_each_literal():
+    """For every template, slot and value: the licensed patterns whose bound
+    derived literal is that literal, in catalog order; none for a fact the
+    rule does not mention. Slot facts are sparse and out of slot order."""
+    for template, (arity, _) in TEMPLATES.items():
+        rule = Rule(template, tuple(F(7 * (arity - i)) for i in range(arity)))
+        for fact in rule.slots:
+            for value in (False, True):
+                lit = Literal(fact, value)
+                expected = tuple(p for p in licensed_patterns(rule)
+                                 if p.bind_derived(rule) == lit)
+                assert patterns_deriving(rule, lit) == expected, (rule, lit)
+        assert patterns_deriving(rule, Literal(F(1), True)) == ()

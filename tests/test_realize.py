@@ -305,7 +305,7 @@ def test_steps_shared_by_both_chains_render_as_drawn_alone(tmp_path):
     for inst in read_corpus(str(path))[1]:
         pmap = build_predicate_map(inst, seed=inst.seed)
         record = realize_instance(inst, pmap, mode="annotated", seed=inst.seed)
-        rule_texts = dict(zip(inst.rules, record["rule_texts"]))
+        rule_texts = dict(zip(inst.correct.rules, record["rule_texts"]))
         note = record["erroneous_steps"][-1]["annotation"]
         for key, steps in (("correct_steps", inst.correct.steps),
                            ("erroneous_steps", inst.erroneous.steps)):

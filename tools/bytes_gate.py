@@ -20,12 +20,19 @@ each command's exit code, the sha256 of its stdout and of the file it wrote,
 and exits 1 when a command exits non-zero. Every command runs in the
 temporary directory on relative paths, so the ``realized_from`` header of a
 realized file is the same in every checkout.
+
+``--read`` then pins ``verify``'s FAIL text: it writes a tampered copy of each
+``--workers 1`` corpus, the header and the first 12 records, where record i
+gets edit ``i % 6`` of ``_tamper``, runs ``verify`` on it and prints the exit
+code and the sha256 of its stdout. It exits 1 when that ``verify`` does not
+exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -58,6 +65,47 @@ READS = (
     ("verify-clean", ["verify", "{name}-clean.jsonl"], None),
     ("verify-annotated", ["verify", "{name}-annotated.jsonl"], None),
 )
+
+
+# records in a tampered copy; record i gets edit i % 6 of ``_tamper``
+TAMPERED_RECORDS = 12
+
+
+def _negated(literal: str) -> str:
+    fact, value = literal.split("=")
+    return f"{fact}={'False' if value == 'True' else 'True'}"
+
+
+def _tamper(record: dict, edit: int) -> None:
+    """Edit ``edit`` (0-5) of a record's JSON object: negate correct step 2's
+    conclusion, drop correct step 3's first support, give correct step 2 the
+    last rule, flip the first base fact, move k one step on, or replace
+    erroneous step k by correct step k."""
+    correct, k = record["correct_steps"], record["first_error_index"]
+    if edit == 0:
+        correct[1]["conclusion"] = _negated(correct[1]["conclusion"])
+    elif edit == 1:
+        del correct[2]["supports"][0]
+    elif edit == 2:
+        correct[1]["rule"] = record["rules"][-1]
+    elif edit == 3:
+        record["base_facts"][0] = _negated(record["base_facts"][0])
+    elif edit == 4:
+        record["first_error_index"] = k + 1
+    else:
+        record["erroneous_steps"][k - 1] = correct[k - 1]
+
+
+def _tampered_copy(corpus: Path, out: Path) -> None:
+    """The header and the first ``TAMPERED_RECORDS`` records of ``corpus``,
+    each record tampered, with the header's count set to match."""
+    header, *records = [json.loads(line) for line in
+                        corpus.read_text(encoding="utf-8").splitlines()[:TAMPERED_RECORDS + 1]]
+    header["total_count"] = len(records)
+    for i, record in enumerate(records):
+        _tamper(record, i % 6)
+    out.write_text("".join(json.dumps(obj, separators=(",", ":")) + "\n"
+                           for obj in (header, *records)), encoding="utf-8")
 
 
 def _sha256(path: Path) -> str:
@@ -105,6 +153,11 @@ def run(count: int, workdir: Path, read: bool = False) -> tuple[list[str], bool]
                     line += f" file {_sha256(workdir / written.format(name=name))}"
                 lines.append(line)
                 ok = ok and done.returncode == 0
+            _tampered_copy(workdir / f"{name}-w1.jsonl", workdir / f"{name}-tampered.jsonl")
+            done = _cli(["verify", f"{name}-tampered.jsonl"], workdir)
+            lines.append(f"{name} verify-tampered exit {done.returncode} "
+                         f"stdout {hashlib.sha256(done.stdout).hexdigest()}")
+            ok = ok and done.returncode == 1
     return lines, ok
 
 
