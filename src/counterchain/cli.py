@@ -3,7 +3,8 @@
 Configuration lives in a flat ``key = value`` text file; command-line flags
 override file values, and the effective configuration digest is embedded in
 every output header. Exit codes: 0 success, 1 verification or lint failure,
-2 usage error, 3 generation exhaustion. A usage error (``UsageError``, one
+2 usage error, 3 generation exhaustion; a reader that closes stdout early
+ends the command with exit 1 and no traceback. A usage error (``UsageError``, one
 stderr line from ``main``) is an unknown or invalid config value, an
 unreadable or malformed corpus, pools or scored file, an unwritable output,
 or a record ``realize`` cannot phrase (a fact outside its universe). Outputs
@@ -389,10 +390,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:  # the reader closed stdout: devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAILED
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from typing import Iterable, Iterator, Optional
 
 from .injection import (
     ROWS,
+    ContextProfile,
     DownstreamStuck,
     ErroneousChain,
     ErrorType,
@@ -38,7 +39,6 @@ from .injection import (
     verify_first_error,
 )
 from .logic import parse_literal, parse_rule, render_literal, render_rule
-from .realize import ContextProfile
 from .synthesis import CorrectChain, Step, SynthesisConfig, synthesize_chain, verify_chain
 
 SCHEMA_VERSION = 1

@@ -1,20 +1,21 @@
 """Corruption of verified chains at a controlled first-error position.
 
-Eleven error types in two families, one row of ``ROWS`` each: where the type
-applies, how it corrupts step k, what ``verify_first_error`` checks, and how
-many steps it adds. Truth-state types keep the chain shape and replace step
-k's conclusion (or a cited support value) with the type's canonical wrong
-output; they are verified by prefix non-derivability of the corrupted
-conclusion, whose supports must be established facts of its rule. Structural
-types mutate the trajectory shape (direction misuse, duplicate work, missing
-bridge facts, cyclic support) and may remain locally truth-compatible, so
-each row carries its own predicate.
+Eleven error types in two families, one row of ``ROWS`` each, which
+``inject`` and ``verify_first_error`` share: where the type applies, the steps
+step k may become, what else is checked, and how many steps it adds.
+Truth-state types keep the chain shape and replace step k's conclusion (or a
+cited support value) with the type's canonical wrong output; they are
+verified by prefix non-derivability of the corrupted conclusion, whose
+supports must be established facts of its rule. Structural types mutate the
+trajectory shape (direction misuse, duplicate work, missing bridge facts,
+cyclic support) and may remain locally truth-compatible, so each row carries
+its own predicate.
 
 After the corruption, every later step is re-derived by applying its rule's
 licensed patterns to the explicit corrupted state, never by global entailment:
 the corrupted state may contradict the theory, which is precisely what makes
 the continuation a counterfactual. Instances whose continuation cannot be
-re-derived are rejected.
+re-derived are rejected, and the verifier compares it with the stored steps.
 """
 
 from __future__ import annotations
@@ -22,14 +23,11 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .logic import Literal, Rule, RuleTemplate
 from .prover import Direction, InferencePattern, Status, match_pattern, patterns_deriving
 from .synthesis import CorrectChain, Prefix, Step, known_supports, topological_order
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .realize import ContextProfile
 
 
 class ErrorGroup(enum.Enum):
@@ -77,12 +75,18 @@ class ErroneousChain:
 
 
 @dataclass(frozen=True)
+class ContextProfile:
+    name: str
+    background: str
+
+
+@dataclass(frozen=True)
 class Instance:
     id: str
     correct: CorrectChain
     erroneous: ErroneousChain
     seed: int = 0
-    context: "ContextProfile | None" = None
+    context: Optional[ContextProfile] = None
     nl: Optional[dict] = None
     extras: dict = field(default_factory=dict)
     # derived fields (labels, polarity) as stored in the record this instance
@@ -103,7 +107,7 @@ class Instance:
 
 
 # ---------------------------------------------------------------------------
-# the rows: where each type applies, how it corrupts step k, what is checked
+# the rows: where each type applies, what step k may become, what is checked
 
 
 def spare_implications(chain: CorrectChain) -> tuple[Rule, ...]:
@@ -128,7 +132,7 @@ def _applied_pattern(step: Step) -> Optional[InferencePattern]:
 def _hooks(chain: CorrectChain, k: int) -> tuple[list[Rule], list[Rule]]:
     """Step k's vacuous and converse hooks: spare implications A -> B with B
     established true before k and A established false, or A unassigned. Both
-    keep ``chain.rules`` order: ``corrupt`` draws from them by position."""
+    keep ``chain.rules`` order, the order their corruptions are listed in."""
     established = _established_literals(chain, k)
     assigned = {l.fact for l in established}
     spare = [r for r in spare_implications(chain) if Literal(r.slots[1], True) in established]
@@ -169,15 +173,15 @@ def _premise_still_established(step: Step, established: set[Literal]) -> Optiona
     return "every required premise is established"
 
 
-# corruptions: step k as its type rewrites it; ``seed`` is the site's seed
+# corruptions: the steps step k may become, in the order ``inject`` draws from
 
 
-def _negate(chain: CorrectChain, k: int, seed: int) -> Step:
+def _negate(chain: CorrectChain, k: int) -> list[Step]:
     step = chain.steps[k - 1]
-    return replace(step, conclusion=step.conclusion.negated())
+    return [replace(step, conclusion=step.conclusion.negated())]
 
 
-def _dual_reading(chain: CorrectChain, k: int, seed: int) -> Step:
+def _dual_reading(chain: CorrectChain, k: int) -> list[Step]:
     """Read the connective as its dual: conclude the negation of the
     established premise the dual reading would force, the false disjunct of
     a forward OR_CONS or the true conjunct of a backward AND_ANTE."""
@@ -187,47 +191,44 @@ def _dual_reading(chain: CorrectChain, k: int, seed: int) -> Step:
     else:
         wrong = Literal(step.rule.slots[0], False)
     known = {l.fact: l for l in step.supports if l.fact != wrong.fact}
-    return Step(k, known_supports(step.rule, wrong.fact, known), step.rule, wrong)
+    return [Step(k, known_supports(step.rule, wrong.fact, known), step.rule, wrong)]
 
 
-def _vacuous(chain: CorrectChain, k: int, seed: int) -> Step:
-    a, b = (hook := random.Random(seed).choice(_hooks(chain, k)[0])).slots
-    return Step(k, (Literal(a, False),), hook, Literal(b, False))
+def _vacuous(chain: CorrectChain, k: int) -> list[Step]:
+    return [Step(k, (Literal(hook.slots[0], False),), hook, Literal(hook.slots[1], False))
+            for hook in _hooks(chain, k)[0]]
 
 
-def _converse(chain: CorrectChain, k: int, seed: int) -> Step:
+def _converse(chain: CorrectChain, k: int) -> list[Step]:
     hooks = _hooks(chain, k)[1]
     if hooks:
-        a, b = (hook := random.Random(seed).choice(hooks)).slots
-        return Step(k, (Literal(b, True),), hook, Literal(a, True))
+        return [Step(k, (Literal(hook.slots[1], True),), hook, Literal(hook.slots[0], True))
+                for hook in hooks]
     # in-place converse of the step's own implication
     step = chain.steps[k - 1]
     a, b = step.rule.slots
     if _applied_pattern(step).direction is Direction.FORWARD:
-        return Step(k, (Literal(b, True),), step.rule, Literal(a, True))
-    return Step(k, (Literal(a, False),), step.rule, Literal(b, False))
+        return [Step(k, (Literal(b, True),), step.rule, Literal(a, True))]
+    return [Step(k, (Literal(a, False),), step.rule, Literal(b, False))]
 
 
-def _drop_bridge(chain: CorrectChain, k: int, seed: int) -> Step:
-    """Step k's consumer, run at k without step k's conclusion. Refused where
-    ``verify_first_error`` would refuse it: when it still has every premise."""
+def _drop_bridge(chain: CorrectChain, k: int) -> list[Step]:
+    """Step k's consumer, run at k without step k's conclusion; none where
+    ``verify_first_error`` would refuse it, because it still has every premise."""
     consumer = chain.steps[k]
     kept = tuple(l for l in consumer.supports if l != chain.steps[k - 1].conclusion)
     corrupted = Step(k, kept, consumer.rule, consumer.conclusion)
-    problem = _premise_still_established(corrupted, _established_literals(chain, k))
-    if problem is not None:
-        raise InjectionInfeasible(problem)
-    return corrupted
+    missing = _premise_still_established(corrupted, _established_literals(chain, k)) is None
+    return [corrupted] if missing else []
 
 
-def _rewire_to_future(chain: CorrectChain, k: int, seed: int) -> Step:
+def _rewire_to_future(chain: CorrectChain, k: int) -> list[Step]:
     """Step k citing a later step's conclusion in place of an open slot."""
     step = chain.steps[k - 1]
-    _, future = random.Random(seed).choice(_cycle_sites(chain, k))
+    rule, fact = step.rule, step.conclusion.fact
     known = {l.fact: l for l in step.supports}
-    known[future.fact] = future
-    return Step(k, known_supports(step.rule, step.conclusion.fact, known),
-                step.rule, step.conclusion)
+    return [Step(k, known_supports(rule, fact, {**known, future.fact: future}), rule,
+                 step.conclusion) for _, future in _cycle_sites(chain, k)]
 
 
 # checks: what ``verify_first_error`` runs on the corrupted step
@@ -267,16 +268,17 @@ def _cycle_problem(err: ErroneousChain, established: set[Literal]) -> Optional[s
 @dataclass(frozen=True)
 class ErrorRow:
     """One error type. ``admits(chain, k, pattern)``: the type applies at
-    step k, whose applied pattern is ``pattern``. ``corrupt(chain, k, seed)``:
-    step k corrupted, or ``InjectionInfeasible``; a row that draws makes its
-    one draw from ``random.Random(seed)``. ``check``: what
-    ``verify_first_error`` runs; a truth-state check takes the replayed prefix
-    and returns a list of problems, a structural one the literals established
-    before k and returns a problem or None. ``length_shift``: steps added.
+    step k, whose applied pattern is ``pattern``. ``corruptions(chain, k)``:
+    the steps step k may become, empty where the site has none; ``inject``
+    draws one and ``verify_first_error`` looks the stored one up. ``check``:
+    what else the verifier runs; a truth-state check takes the replayed
+    prefix and returns a list of problems, a structural one the literals
+    established before k and returns a problem or None. ``length_shift``:
+    steps added.
     The defaults make a truth-state row that negates step k's conclusion."""
 
     admits: Callable[[CorrectChain, int, InferencePattern], bool]
-    corrupt: Callable[[CorrectChain, int, int], Step] = _negate
+    corruptions: Callable[[CorrectChain, int], list[Step]] = _negate
     check: Callable = _non_derivable
     group: ErrorGroup = ErrorGroup.TRUTH_STATE
     length_shift: int = 0
@@ -319,8 +321,7 @@ ROWS: dict[ErrorType, ErrorRow] = {
         ErrorGroup.STRUCTURAL),
     ErrorType.REDUNDANT_STEP: ErrorRow(
         lambda chain, k, p: k >= 2,
-        lambda chain, k, seed: replace(chain.steps[random.Random(seed).randrange(k - 1)],
-                                       index=k),
+        lambda chain, k: [replace(step, index=k) for step in chain.steps[:k - 1]],
         lambda err, established: None if err.corrupted.conclusion in established
         else "conclusion was not already established",
         ErrorGroup.STRUCTURAL, length_shift=1),
@@ -345,13 +346,17 @@ def applicable_errors(chain: CorrectChain, k: int) -> frozenset[ErrorType]:
 
 
 def inject(chain: CorrectChain, k: int, e: ErrorType, seed: int) -> ErroneousChain:
-    """Corrupt step k of a synthesized chain with error type ``e`` and
-    rebuild the continuation under the corrupted state. ``build_instance``
+    """Corrupt step k of a synthesized chain with error type ``e``, one of
+    its row's corruptions drawn by ``random.Random(seed)``, and rebuild the
+    continuation under the corrupted state. ``build_instance``
     proves the chain with ``verify_chain`` before it stores the instance."""
     row = ROWS[e]
     if not row.applies(chain, k):
         raise InjectionInfeasible(f"{e.value} does not apply at step {k}")
-    corrupted = row.corrupt(chain, k, seed)
+    options = row.corruptions(chain, k)
+    if not options:
+        raise InjectionInfeasible(f"no {e.value} corruption at step {k}")
+    corrupted = options[0] if len(options) == 1 else random.Random(seed).choice(options)
     if corrupted.content_equals(chain.steps[k - 1]):
         raise InjectionInfeasible("canonical corruption coincides with the correct step")
     corrupted_prefix = chain.steps[: k - 1] + (corrupted,)
@@ -426,14 +431,14 @@ def _structural_predicate(inst: Instance, established: set[Literal]) -> Optional
 
 def verify_first_error(inst: Instance) -> InstanceReport:
     """Accept an instance only if the corruption is exactly where and what it
-    claims: identical prefix, valid prefix steps, established rule supports
-    and a non-derivable conclusion (truth-state) or the matching structural
-    defect, and a continuation that stays pattern-coherent under the
-    corrupted state."""
+    claims: identical prefix, valid prefix steps, a step k that its row
+    lists among the corruptions of the correct chain at k, established rule
+    supports and a non-derivable conclusion (truth-state) or the matching
+    structural defect, and the continuation ``recompute_downstream``
+    derives under the corrupted state."""
     failures: list[str] = []
     chain, err = inst.correct, inst.erroneous
     k = inst.k
-    theory = inst.correct.theory()
 
     if not 1 <= k <= len(err.steps):
         return InstanceReport(False, (f"k={k} out of range",))
@@ -442,12 +447,11 @@ def verify_first_error(inst: Instance) -> InstanceReport:
         if t >= len(chain.steps) or not err.steps[t].content_equals(chain.steps[t]):
             failures.append(f"prefix differs from the correct chain at step {t + 1}")
 
-    prefix = Prefix(theory, chain.base_facts)
+    prefix = Prefix(chain.theory(), chain.base_facts)
     valid = prefix.replay(err.steps[:k - 1])
     if valid < k - 1:
         failures.append(f"prefix step {valid + 1} is not valid")
     else:
-        corrupted = err.corrupted
         row = ROWS[err.error_type]
         if row.group is ErrorGroup.STRUCTURAL:
             problem = row.check(err, prefix.established)
@@ -455,25 +459,18 @@ def verify_first_error(inst: Instance) -> InstanceReport:
                 failures.append(f"structural predicate failed: {problem}")
         else:
             failures.extend(row.check(err, prefix))
-
-        # continuation: pattern application over the explicit corrupted
-        # state, one assignment that the corrupted conclusion overwrites
-        values = dict(prefix.values)
-        values[corrupted.conclusion.fact] = corrupted.conclusion.value
-        for t in range(k, len(err.steps)):
-            step = err.steps[t]
-            if any(values.get(fact) != value for fact, value in step.supports):
-                failures.append(f"step {t + 1}: support disagrees with the "
-                                f"corrupted state")
-                break
-            if _applied_pattern(step) is None:
-                failures.append(f"step {t + 1}: no licensed pattern under the "
-                                f"corrupted state")
-                break
-            if step.conclusion.fact in values:
-                failures.append(f"step {t + 1}: re-concludes an assigned fact")
-                break
-            values[step.conclusion.fact] = step.conclusion.value
+        if not (k <= len(chain.steps) and row.applies(chain, k)
+                and err.corrupted in row.corruptions(chain, k)):
+            failures.append(f"step {k}: not a {err.error_type.value} corruption")
+        try:
+            continuation = recompute_downstream(
+                chain, err.steps[:k], originals=chain.steps[k - row.length_shift:])
+        except DownstreamStuck as exc:
+            failures.append(f"continuation: {exc}")
+        else:
+            if tuple(continuation) != err.steps[k:]:
+                failures.append("continuation differs from the one recomputed under "
+                                "the corrupted state")
 
     if err.steps[-1].conclusion.fact != chain.goal.fact:
         failures.append("final step does not target the goal fact")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Protocol, Sequence
 
 from . import lexicon
-from .injection import Instance
+from .injection import ContextProfile, Instance
 from .logic import FactId, Literal, Rule
 from .synthesis import Step
 
@@ -40,12 +40,6 @@ _LEAK_RE = re.compile(
     + "|".join("(" + re.escape(p) + ")" for p in LEAK_PHRASES) + r")\b)",
     re.IGNORECASE)
 _LEAK_ENTRIES = LEAK_WORDS + LEAK_PHRASES
-
-
-@dataclass(frozen=True)
-class ContextProfile:
-    name: str
-    background: str
 
 
 @dataclass(frozen=True)

@@ -685,10 +685,11 @@ class Prefix:
 
     def check(self, step: Step) -> list[str]:
         """The step's faults against the prefix, as ``verify_chain`` prints
-        them, in order: a support that is no base fact or earlier conclusion;
-        no licensed direction instantiated, or a support off the rule or on
-        the concluded fact; the concluded fact already assigned; a support or
-        the conclusion neither assigned nor entailed. Empty for a valid step."""
+        them, in order: a support not a base fact or earlier conclusion; no
+        licensed direction instantiated, or a support off the rule or on the
+        concluded fact; the concluded fact already assigned; a support or the
+        conclusion neither assigned nor entailed; supports other than the
+        rule's assigned facts in slot order (``known_supports``). Empty if valid."""
         values, rule = self.values, step.rule
         supports, conclusion = step.supports, step.conclusion
         slots, concluded = rule.slots, conclusion.fact
@@ -705,6 +706,8 @@ class Prefix:
             if values.get(lit.fact) != lit.value and not entailed(rows, lit):
                 faults.append("not entailed by prefix")
                 break
+        if supports != tuple([(f, values[f]) for f in slots if f != concluded and f in values]):
+            faults.append("supports are not the known rule facts")
         return faults
 
     def replay(self, steps: Sequence[Step]) -> int:

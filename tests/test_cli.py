@@ -448,6 +448,28 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert result.stdout.split() == ["[]"]
 
 
+def test_verify_into_a_closed_pipe_exits_1_without_a_traceback(tmp_path, capsys):
+    """``verify CORPUS | head -1`` on a corpus whose records fail: the reader
+    closes the pipe after one line, and ``verify`` exits 1 with nothing on
+    stderr. The FAIL lines of 1,000 copies of one failing record (about
+    350 kB) fill more than a pipe buffer."""
+    one, corpus = tmp_path / "one.jsonl", tmp_path / "many.jsonl"
+    assert main(["synth", "--count", "1", "--seed", "7", "--out", str(one)]) == 0
+    capsys.readouterr()
+    header, record = (json.loads(line) for line in one.read_text().splitlines())
+    record["first_error_index"] += 1
+    header["total_count"] = 1000
+    _rewrite(corpus, header, [record] * 1000)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen([sys.executable, "-m", "counterchain.cli", "verify", str(corpus)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout.readline().startswith(b"FAIL 00000007-000000: ")
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=120)
+    assert (proc.returncode, stderr) == (1, b"")
+
+
 def _rewrite(path, header, records) -> None:
     path.write_text("".join(json.dumps(o, separators=(",", ":")) + "\n"
                             for o in (header, *records)))

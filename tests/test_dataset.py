@@ -298,10 +298,11 @@ def test_bytes_gate_tool_reports_each_run(tmp_path):
     workload and worker count, then each read command's exit code and
     digests, and last the exit code and stdout digest of ``verify`` on a
     tampered copy; it exits 0 when the worker counts agree, every read exits 0
-    and every tampered copy fails ``verify``."""
+    and ``verify`` prints a FAIL line for every tampered record. Seven records
+    get each of the seven edits once."""
     root = Path(__file__).resolve().parents[1]
     result = subprocess.run([sys.executable, str(root / "tools" / "bytes_gate.py"),
-                             "--count", "3", "--read"], cwd=tmp_path, capture_output=True,
+                             "--count", "7", "--read"], cwd=tmp_path, capture_output=True,
                             text=True, timeout=300)
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
@@ -317,6 +318,7 @@ def test_bytes_gate_tool_reports_each_run(tmp_path):
     assert all(r[2:4] == ["exit", "1" if r[1] == "verify-tampered" else "0"]
                and len(r[5]) == 64 for r in reads)
     assert [len(r) for r in reads if r[1] in ("eval", "realize-clean")] == [8] * 6
+    assert not [line for line in lines if "tampered records" in line]
     # every file goes to the tool's temporary directory, none to the caller's
     assert not list(tmp_path.iterdir())
     assert lines[-1] == "ok"

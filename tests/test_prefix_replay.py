@@ -134,8 +134,10 @@ def test_carried_rows_equal_rows_restricted_from_scratch(cases, monkeypatch):
 
 # sha256 of the canonical JSON of ``_walk_all`` over every case, in order; it
 # was recorded with the rows restricted from scratch at every prefix step, so
-# it pins the verdicts across changes to how the walks obtain their rows
-VERDICTS_SHA256 = "081169030b1389659ab8dfc9f1118c7029d427e3b73ffd9176ea4b4106858bad"
+# it pins the verdicts across changes to how the walks obtain their rows. The
+# verdicts include ``Prefix.check``'s known-supports fault and the corruption
+# and continuation checks of ``verify_first_error``
+VERDICTS_SHA256 = "f9b6775843b0971b75dd68fc124462bf186e75a7a8ccd786806cde7f4803e0e2"
 
 
 def test_walk_verdicts_pinned(cases):

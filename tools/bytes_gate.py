@@ -23,9 +23,9 @@ realized file is the same in every checkout.
 
 ``--read`` then pins ``verify``'s FAIL text: it writes a tampered copy of each
 ``--workers 1`` corpus, the header and the first 12 records, where record i
-gets edit ``i % 6`` of ``_tamper``, runs ``verify`` on it and prints the exit
+gets edit ``i % 7`` of ``_tamper``, runs ``verify`` on it and prints the exit
 code and the sha256 of its stdout. It exits 1 when that ``verify`` does not
-exit 1.
+exit 1 or does not print one FAIL line per tampered record.
 """
 
 from __future__ import annotations
@@ -67,8 +67,11 @@ READS = (
 )
 
 
-# records in a tampered copy; record i gets edit i % 6 of ``_tamper``
+# records in a tampered copy; record i gets edit i % 7 of ``_tamper``
 TAMPERED_RECORDS = 12
+
+STRUCTURAL = ("converse_error", "redundant_step", "missing_prerequisite",
+              "circular_reference")
 
 
 def _negated(literal: str) -> str:
@@ -76,11 +79,19 @@ def _negated(literal: str) -> str:
     return f"{fact}={'False' if value == 'True' else 'True'}"
 
 
+def _relabelled(error_type: str) -> str:
+    """Another type of the same group, and not the xor twin, which shares
+    every corruption with ``xor_as_or`` where both apply."""
+    if error_type in STRUCTURAL:
+        return "redundant_step" if error_type == "converse_error" else "converse_error"
+    return "drop_condition" if error_type == "implication_misuse" else "implication_misuse"
+
+
 def _tamper(record: dict, edit: int) -> None:
-    """Edit ``edit`` (0-5) of a record's JSON object: negate correct step 2's
+    """Edit ``edit`` (0-6) of a record's JSON object: negate correct step 2's
     conclusion, drop correct step 3's first support, give correct step 2 the
-    last rule, flip the first base fact, move k one step on, or replace
-    erroneous step k by correct step k."""
+    last rule, flip the first base fact, move k one step on, replace
+    erroneous step k by correct step k, or relabel the error type."""
     correct, k = record["correct_steps"], record["first_error_index"]
     if edit == 0:
         correct[1]["conclusion"] = _negated(correct[1]["conclusion"])
@@ -92,20 +103,24 @@ def _tamper(record: dict, edit: int) -> None:
         record["base_facts"][0] = _negated(record["base_facts"][0])
     elif edit == 4:
         record["first_error_index"] = k + 1
-    else:
+    elif edit == 5:
         record["erroneous_steps"][k - 1] = correct[k - 1]
+    else:
+        record["error_type"] = _relabelled(record["error_type"])
 
 
-def _tampered_copy(corpus: Path, out: Path) -> None:
-    """The header and the first ``TAMPERED_RECORDS`` records of ``corpus``,
-    each record tampered, with the header's count set to match."""
+def _tampered_copy(corpus: Path, out: Path) -> int:
+    """Writes the header and the first ``TAMPERED_RECORDS`` records of
+    ``corpus``, each record tampered, with the header's count set to match;
+    returns the count of records."""
     header, *records = [json.loads(line) for line in
                         corpus.read_text(encoding="utf-8").splitlines()[:TAMPERED_RECORDS + 1]]
     header["total_count"] = len(records)
     for i, record in enumerate(records):
-        _tamper(record, i % 6)
+        _tamper(record, i % 7)
     out.write_text("".join(json.dumps(obj, separators=(",", ":")) + "\n"
                            for obj in (header, *records)), encoding="utf-8")
+    return len(records)
 
 
 def _sha256(path: Path) -> str:
@@ -153,10 +168,15 @@ def run(count: int, workdir: Path, read: bool = False) -> tuple[list[str], bool]
                     line += f" file {_sha256(workdir / written.format(name=name))}"
                 lines.append(line)
                 ok = ok and done.returncode == 0
-            _tampered_copy(workdir / f"{name}-w1.jsonl", workdir / f"{name}-tampered.jsonl")
+            tampered = _tampered_copy(workdir / f"{name}-w1.jsonl",
+                                      workdir / f"{name}-tampered.jsonl")
             done = _cli(["verify", f"{name}-tampered.jsonl"], workdir)
             lines.append(f"{name} verify-tampered exit {done.returncode} "
                          f"stdout {hashlib.sha256(done.stdout).hexdigest()}")
+            failed = sum(line.startswith(b"FAIL ") for line in done.stdout.splitlines())
+            if failed != tampered:
+                lines.append(f"{name}: verify failed {failed} of {tampered} tampered records")
+                ok = False
             ok = ok and done.returncode == 1
     return lines, ok
 
