@@ -6,10 +6,15 @@ every output header. Exit codes: 0 success, 1 verification or lint failure,
 2 usage error, 3 generation exhaustion; a reader that closes stdout early
 ends the command with exit 1 and no traceback. A usage error (``UsageError``, one
 stderr line from ``main``) is an unknown or invalid config value, an
-unreadable or malformed corpus, pools or scored file, an unwritable output,
-or a record ``realize`` cannot phrase (a fact outside its universe). Outputs
-are moved into place only when the command succeeds, so a failed command
-leaves no partial file; ``synth`` writes its corpus and stats both or neither.
+unreadable or malformed corpus, pools or scored file (a corpus record with a
+key outside its schema, or a field of another type, is malformed), an
+unwritable output, or a record ``realize`` cannot phrase (a fact outside its
+universe). ``verify`` re-derives every stored field: a record whose ``id``
+or ``seed`` is not the one its header seed gives the index in its id, or
+whose ``nl`` and ``context`` are not its offline realization, is a ``FAIL``
+line. Outputs are moved into place only when the command succeeds, so a
+failed command leaves no partial file; ``synth`` writes its corpus and stats
+both or neither.
 
 ``verify``, ``realize``, ``eval --corpus`` and ``stats`` read the corpus one
 record at a time (``dataset.stream_corpus``) and hold no more than the record
@@ -36,6 +41,7 @@ from .dataset import (
     DEFAULT_ERROR_WEIGHTS,
     SCHEMA_VERSION,
     generate_corpus,
+    position_mismatches,
     serialize_instance,
     stored_field_mismatches,
     stream_corpus,
@@ -50,7 +56,7 @@ from .evaluation import (
 )
 from .injection import ErrorType, Instance, verify_first_error
 from .logic import RuleTemplate
-from .realize import PredicateMapInvalid, leak_lint, realized
+from .realize import PredicateMapInvalid, leak_lint, realized, stored_text_mismatches
 from .synthesis import SynthesisConfig, SynthesisExhausted, verify_chain
 
 EXIT_OK = 0
@@ -121,12 +127,19 @@ def _reading(what: str) -> Iterator[None]:
         raise UsageError(f"cannot read {what}: {exc}") from exc
 
 
-def _corpus(path: str) -> Iterator[Instance]:
-    """The corpus's instances, read one at a time. A read error, at the
-    header or at any record, surfaces as the usage error of ``_reading``
-    when the iteration reaches it; the caller's own errors pass untouched."""
+def _corpus(path: str) -> tuple[Optional[dict], Iterator[Instance]]:
+    """The corpus's header, read now, and its instances, read one at a time.
+    A read error, at the header or at any record, surfaces as the usage error
+    of ``_reading`` when the read reaches it; the caller's own errors pass
+    untouched."""
     with _reading("corpus"):
-        yield from stream_corpus(path)[1]
+        header, instances = stream_corpus(path)
+    return header, _read_each(instances)
+
+
+def _read_each(instances: Iterator[Instance]) -> Iterator[Instance]:
+    with _reading("corpus"):
+        yield from instances
 
 
 @contextlib.contextmanager
@@ -243,11 +256,20 @@ def cmd_synth(args) -> int:
 
 def cmd_verify(args) -> int:
     count = failures = 0
-    for inst in _corpus(args.corpus):
+    header, instances = _corpus(args.corpus)
+    # a header without a seed (a realized file, a hand-built one) names no
+    # record positions to check
+    corpus_seed = header.get("seed") if header else None
+    previous = -1
+    for inst in instances:
         count += 1
         problems = [*verify_chain(inst.correct).failures,
                     *verify_first_error(inst).failures,
-                    *stored_field_mismatches(inst)]
+                    *stored_field_mismatches(inst),
+                    *stored_text_mismatches(inst)]
+        if corpus_seed is not None:
+            misplaced, previous = position_mismatches(inst, corpus_seed, previous)
+            problems += misplaced
         if problems:
             failures += 1
             print(f"FAIL {inst.id}: {'; '.join(problems)}")
@@ -263,7 +285,7 @@ def cmd_realize(args) -> int:
                              "nl_mode": args.nl_mode,
                              "config_digest": _flags_digest("realize", args.nl_mode)},
                             separators=(",", ":")) + "\n")
-        for inst in _corpus(args.corpus):
+        for inst in _corpus(args.corpus)[1]:
             try:
                 inst = realized(inst, nl_mode=args.nl_mode)
             except PredicateMapInvalid as exc:
@@ -294,7 +316,7 @@ def cmd_eval(args) -> int:
                                        args.include_correct),
     }
     if args.corpus:
-        report = evaluate_instances(_corpus(args.corpus), judge,
+        report = evaluate_instances(_corpus(args.corpus)[1], judge,
                                     threshold=args.threshold,
                                     erroneous_only=not args.include_correct)
         print(report.to_text(), end="")
@@ -322,7 +344,7 @@ def cmd_eval(args) -> int:
 
 def cmd_stats(args) -> int:
     counts = collections.Counter(inst.error_type.value
-                                 for inst in _corpus(args.corpus))
+                                 for inst in _corpus(args.corpus)[1])
     total = sum(counts.values())
     if not total:
         print("empty corpus", file=sys.stderr)

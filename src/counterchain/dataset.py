@@ -3,10 +3,15 @@
 A corpus file is one JSON object per line: a header record carrying the
 schema version, seed, and effective-config digest, then one instance record
 per line. Rules, facts, and steps are stored as canonical text so records
-stay human-auditable. Unknown fields on an instance record survive a
-round-trip verbatim. ``stream_corpus`` reads a file one record at a time, so
-a reader's memory does not grow with the file; ``read_corpus`` collects the
-same records into a list.
+stay human-auditable. An instance record holds only the keys of
+``_KNOWN_KEYS``: a key outside them, or a stored field of another type (an
+``id`` that is not a non-empty string, a ``context`` that is not null or an
+object of string ``name`` and ``background``, an ``nl`` that is not null or
+an object, a header ``seed`` that is not a signed 64-bit integer), is a
+malformed record, and so is a record naming more facts than the prover's
+cap. ``stream_corpus`` reads a file one record at a time, so a reader's
+memory does not grow with the file; ``read_corpus`` collects the same
+records into a list.
 
 Corpus generation hits the configured error-type mix exactly: the weight
 table is converted into per-type quotas by largest remainder, shuffled into a
@@ -42,6 +47,9 @@ from .logic import parse_literal, parse_rule, render_literal, render_rule
 from .synthesis import CorrectChain, Step, SynthesisConfig, synthesize_chain, verify_chain
 
 SCHEMA_VERSION = 1
+
+# a corpus seed lies in [-SEED_BOUND, SEED_BOUND), the range ``derive_seed`` packs
+SEED_BOUND = 2 ** 63
 
 # chains drawn per index before giving up, and injection sites tried per chain
 MAX_CHAIN_ATTEMPTS = 600
@@ -161,12 +169,13 @@ def _step_from_obj(obj: dict, index: int, chain: str) -> Step:
     )
 
 
-_KNOWN_KEYS = (
+# every key an instance record may hold; the reader refuses any other
+_KNOWN_KEYS = frozenset((
     "record", "schema_version", "id", "seed", "goal", "base_facts", "rules",
     "correct_steps", "erroneous_steps", "first_error_index", "error_type",
     "error_group", "correct_labels", "erroneous_labels",
     "reached_goal_polarity", "context", "nl",
-)
+))
 _DERIVED_KEYS = ("error_group", "correct_labels", "erroneous_labels",
                  "reached_goal_polarity")
 
@@ -210,10 +219,19 @@ def serialize_instance(inst: Instance) -> str:
                     if inst.context is not None else None),
         "nl": inst.nl,
     }
-    for key, value in inst.extras.items():
-        if key not in _KNOWN_KEYS:
-            obj[key] = value
     return json.dumps(obj, separators=(",", ":"))
+
+
+def _context(value, line_number: Optional[int]) -> Optional[ContextProfile]:
+    """The stored ``context``: null, or an object of exactly a string ``name``
+    and a string ``background``."""
+    if value is None:
+        return None
+    if not (isinstance(value, dict) and value.keys() == {"name", "background"}
+            and all(isinstance(v, str) for v in value.values())):
+        raise MalformedRecordError(f"context {value!r} is not null or an object "
+                                   f"of string name and background", line_number)
+    return ContextProfile(value["name"], value["background"])
 
 
 def deserialize_instance(line: str, line_number: Optional[int] = None) -> Instance:
@@ -227,7 +245,14 @@ def deserialize_instance(line: str, line_number: Optional[int] = None) -> Instan
     if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaMismatchError(
             f"schema_version {version!r} unsupported (expected {SCHEMA_VERSION})")
+    unknown = obj.keys() - _KNOWN_KEYS
+    if unknown:
+        raise MalformedRecordError(f"unknown keys {sorted(unknown)}", line_number)
     try:
+        ident = obj["id"]
+        if not isinstance(ident, str) or not ident:
+            raise MalformedRecordError(f"id {ident!r} is not a non-empty string",
+                                       line_number)
         goal = _parsed(parse_literal, obj["goal"], "goal")
         base = tuple(_parsed(parse_literal, t, "base_facts entry")
                      for t in _array(obj["base_facts"], "base_facts"))
@@ -247,6 +272,9 @@ def deserialize_instance(line: str, line_number: Optional[int] = None) -> Instan
             if not steps:
                 raise MalformedRecordError(f"{name} is empty", line_number)
         correct = CorrectChain(base, rules, correct_steps, goal)
+        # built now, and cached on the chain for its readers, so a universe
+        # over the prover's cap is a malformed record
+        correct.theory()
         error_type = ErrorType(obj["error_type"])
         stored_group = obj.get("error_group")
         if stored_group is not None and stored_group != error_type.group.value:
@@ -259,15 +287,15 @@ def deserialize_instance(line: str, line_number: Optional[int] = None) -> Instan
                                        "first_error_index", line_number),
             error_type=error_type,
         )
-        context = obj.get("context")
-        profile = (ContextProfile(context["name"], context["background"])
-                   if context else None)
-        extras = {k: v for k, v in obj.items() if k not in _KNOWN_KEYS}
+        nl = obj.get("nl")
+        if nl is not None and not isinstance(nl, dict):
+            raise MalformedRecordError(f"nl must be null or an object, not "
+                                       f"{type(nl).__name__}", line_number)
         stored = {k: obj[k] for k in _DERIVED_KEYS if k in obj}
         return Instance(
-            id=obj["id"], correct=correct, erroneous=erroneous,
+            id=ident, correct=correct, erroneous=erroneous,
             seed=_integer(obj.get("seed", 0), "seed", line_number),
-            context=profile, nl=obj.get("nl"), extras=extras, stored=stored,
+            context=_context(obj.get("context"), line_number), nl=nl, stored=stored,
         )
     except (KeyError, ValueError, TypeError) as exc:
         if isinstance(exc, (SchemaMismatchError, MalformedRecordError)):
@@ -300,6 +328,11 @@ def _parse_header(line: str, line_number: int) -> Optional[dict]:
         raise SchemaMismatchError(f"schema_version {version!r} unsupported")
     if obj.get("total_count") is not None:
         _integer(obj["total_count"], "header total_count", line_number)
+    seed = obj.get("seed")
+    if seed is not None and not -SEED_BOUND <= _integer(seed, "header seed",
+                                                       line_number) < SEED_BOUND:
+        raise MalformedRecordError(f"header seed {seed} is outside the signed "
+                                   f"64-bit range", line_number)
     return obj
 
 
@@ -377,6 +410,8 @@ class CorpusConfig:
                              "with a positive sum")
         if self.k_first < 1:
             raise ValueError(f"k_first {self.k_first} must be at least 1")
+        if not -SEED_BOUND <= self.seed < SEED_BOUND:
+            raise ValueError(f"seed {self.seed} is outside the signed 64-bit range")
 
     def digest(self) -> str:
         payload = repr((self.total_count, self.seed, self.error_weights,
@@ -389,6 +424,35 @@ def derive_seed(seed: int, index: int, tag: str = "") -> int:
     digest = hashlib.blake2b(
         struct.pack("<qq", seed, index) + tag.encode(), digest_size=8).digest()
     return int.from_bytes(digest, "little") & (2 ** 63 - 1)
+
+
+def instance_id(seed: int, index: int) -> str:
+    """The id of record ``index`` of the corpus whose header seed is ``seed``."""
+    return f"{seed & 0xFFFFFFFF:08x}-{index:06d}"
+
+
+def position_mismatches(inst: Instance, corpus_seed: int,
+                        previous: int) -> tuple[list[str], int]:
+    """Messages for the ``id`` and ``seed`` of ``inst``, read from the corpus
+    whose header seed is ``corpus_seed``, with ``previous`` the largest index
+    the records before it named (-1 before the first). The number after the
+    id's last ``-`` is the record's index; the id must be ``instance_id`` of
+    it, the seed ``derive_seed`` of it, and the index above ``previous``, so
+    a duplicate id fails. Returns the messages and the new ``previous``."""
+    tail = inst.id.rpartition("-")[2]
+    # at most 18 digits, so the index is one ``derive_seed`` can pack
+    if not (tail.isascii() and tail.isdigit() and len(tail) <= 18):
+        return [f"id {inst.id!r} names no record index"], previous
+    index = int(tail)
+    problems = [f"stored {name} {stored!r} disagrees with record index {index} "
+                f"(expected {expected!r})"
+                for name, stored, expected in (
+                    ("id", inst.id, instance_id(corpus_seed, index)),
+                    ("seed", inst.seed, derive_seed(corpus_seed, index)))
+                if stored != expected]
+    if index <= previous:
+        problems.append(f"record index {index} does not follow index {previous}")
+    return problems, max(index, previous)
 
 
 def hash_split(ids: Iterable[str], fractions: dict[str, float],
@@ -485,10 +549,8 @@ def build_instance(cfg: CorpusConfig, index: int,
             except DownstreamStuck:
                 note("downstream-stuck")
                 continue
-            inst = Instance(
-                id=f"{cfg.seed & 0xFFFFFFFF:08x}-{index:06d}",
-                correct=chain, erroneous=err, seed=seed,
-            )
+            inst = Instance(id=instance_id(cfg.seed, index),
+                            correct=chain, erroneous=err, seed=seed)
             report = verify_first_error(inst)
             if not report.ok:
                 note(report.reason().split(":")[0])

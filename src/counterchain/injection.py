@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 from .logic import Literal, Rule, RuleTemplate
-from .prover import Direction, InferencePattern, Status, match_pattern, patterns_deriving
+from .prover import Direction, InferencePattern, match_pattern, patterns_deriving
 from .synthesis import CorrectChain, Prefix, Step, known_supports, topological_order
 
 
@@ -88,7 +88,6 @@ class Instance:
     seed: int = 0
     context: Optional[ContextProfile] = None
     nl: Optional[dict] = None
-    extras: dict = field(default_factory=dict)
     # derived fields (labels, polarity) as stored in the record this instance
     # was read from; ``verify`` compares them with what the instance implies
     stored: dict = field(default_factory=dict, compare=False)
@@ -248,12 +247,10 @@ def _non_derivable(err: ErroneousChain, prefix: Prefix) -> list[str]:
         problems.append("corrupted step cites a support outside its rule")
     if step.conclusion.fact not in prefix.table.columns:
         problems.append("corrupted conclusion is outside the theory's universe")
-    else:
-        verdict = prefix.table.decide(prefix.rows, step.conclusion)
-        if verdict.status is Status.ENTAILED:
-            problems.append("still-derivable")
-        elif verdict.status is Status.INCONSISTENT:
-            problems.append("prefix state inconsistent with the theory")
+    elif not prefix.rows:
+        problems.append("prefix state inconsistent with the theory")
+    elif prefix.table.entailed(prefix.rows, step.conclusion):
+        problems.append("still-derivable")
     return problems
 
 

@@ -341,6 +341,24 @@ def realized(inst: Instance, nl_mode: str = "clean", seed: Optional[int] = None,
     return dataclasses.replace(inst, nl=record, context=pmap.context)
 
 
+def stored_text_mismatches(inst: Instance) -> list[str]:
+    """One message per field of the record ``inst`` was read from, ``nl`` and
+    ``context``, that differs from ``realized`` in the mode ``nl`` names. A
+    record with a context and no nl, and one ``realized`` refuses (an unknown
+    mode, a fact outside the universe), get one message. The rebuild is the
+    offline templater's, so text from a ``TranslatorClient`` fails."""
+    if inst.nl is None:
+        return [] if inst.context is None else ["stored context without nl"]
+    try:
+        rebuilt = realized(inst, nl_mode=inst.nl.get("mode"))
+    except ValueError as exc:
+        return [f"cannot rebuild the stored nl: {exc}"]
+    return [f"stored {name} disagrees with its realization"
+            for name, stored, expected in (("nl", inst.nl, rebuilt.nl),
+                                           ("context", inst.context, rebuilt.context))
+            if stored != expected]
+
+
 # ---------------------------------------------------------------------------
 # label-leak lint
 

@@ -13,6 +13,7 @@ import pytest
 
 from counterchain import CorpusConfig, ErrorType, RuleTemplate, generate_corpus
 from counterchain.cli import main, parse_kv_file
+from counterchain.dataset import derive_seed, instance_id
 from counterchain.logic import PARSE_CACHE_SIZE
 
 
@@ -326,6 +327,74 @@ def test_verify_rejects_tampered_stored_field(tmp_path, capsys, tamper):
     assert code != 0
 
 
+def _tamper_seed(records):
+    records[1]["seed"] += 1
+
+
+def _tamper_id(records):
+    records[1]["id"] = records[0]["id"]
+
+
+def _tamper_id_unnumbered(records):
+    records[1]["id"] = "record-two"
+
+
+def _tamper_nl_text(records):
+    records[1]["nl"]["erroneous_steps"][0]["text"] += " Then again."
+
+
+def _tamper_context(records):
+    records[1]["context"]["name"] += "a"
+
+
+def _tamper_context_without_nl(records):
+    records[1]["nl"] = None
+
+
+def _tamper_nl_mode(records):
+    records[1]["nl"]["mode"] = "verbose"
+
+
+def _tamper_stray_fact(records):
+    records[1]["erroneous_steps"][0]["supports"][0] = "[F99]=True"
+
+
+# tamper, whether it edits a realized file, and a part of the FAIL line
+_REDERIVED = {
+    "seed": (_tamper_seed, False, "stored seed"),
+    "id-of-previous": (_tamper_id, False, "does not follow index 0"),
+    "id-unnumbered": (_tamper_id_unnumbered, False, "id 'record-two' names no record index"),
+    "nl-text": (_tamper_nl_text, True, "stored nl disagrees with its realization"),
+    "context": (_tamper_context, True, "stored context disagrees with its realization"),
+    "context-without-nl": (_tamper_context_without_nl, True, "stored context without nl"),
+    "nl-mode": (_tamper_nl_mode, True,
+                "cannot rebuild the stored nl: unknown nl mode: 'verbose'"),
+    "stray-fact": (_tamper_stray_fact, True, "cannot rebuild the stored nl: [F99] is outside"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REDERIVED))
+def test_verify_rederives_id_seed_nl_and_context(tmp_path, capsys, case):
+    """``verify`` re-derives a synth record's ``id`` and ``seed`` from the
+    header seed and the index in the id, and a realized record's ``nl`` and
+    ``context`` from its symbols: one edit to one record is one FAIL line."""
+    tamper, realize, message = _REDERIVED[case]
+    path = tmp_path / "c.jsonl"
+    _run(capsys, "synth", "--count", "4", "--seed", "2", "--out", str(path))
+    if realize:
+        path = tmp_path / "r.jsonl"
+        assert _run(capsys, "realize", str(tmp_path / "c.jsonl"), "--out", str(path))[0] == 0
+    header, *records = [json.loads(l) for l in path.read_text().splitlines()]
+    assert ("seed" in header) != realize
+    tamper(records)
+    _rewrite(path, header, records)
+    code, stdout, _ = _run(capsys, "verify", str(path))
+    assert code == 1
+    fails = [l for l in stdout.splitlines() if l.startswith("FAIL")]
+    assert len(fails) == 1 and fails[0].startswith(f"FAIL {records[1]['id']}: ")
+    assert message in fails[0]
+
+
 def test_verify_accepts_records_without_derived_fields(tmp_path, capsys):
     out = tmp_path / "c.jsonl"
     _run(capsys, "synth", "--count", "4", "--seed", "2", "--out", str(out))
@@ -496,7 +565,7 @@ def test_corpus_with_more_rule_texts_than_the_parse_memo_holds(tmp_path, capsys)
     # adding one offset to every fact index keeps each fact's order, so a
     # shifted record verifies as the original does; copies of a few records
     # shifted by different offsets carry more distinct rule texts than the
-    # memo holds
+    # memo holds. Each copy gets the id and seed of its position in the file
     out = tmp_path / "c.jsonl"
     _run(capsys, "synth", "--count", "20", "--seed", "4", "--out", str(out))
     header, *originals = [json.loads(l) for l in out.read_text().splitlines()]
@@ -509,6 +578,8 @@ def test_corpus_with_more_rule_texts_than_the_parse_memo_holds(tmp_path, capsys)
             line = re.sub(r"\[F(\d+)\]", lambda m: f"[F{int(m.group(1)) + offset}]",
                           json.dumps(original))
             record = json.loads(line)
+            record["id"] = instance_id(header["seed"], len(records))
+            record["seed"] = derive_seed(header["seed"], len(records))
             distinct.update(record["rules"])
             distinct.update(step["rule"] for step in record["erroneous_steps"])
             records.append(record)
@@ -662,6 +733,29 @@ def _one_record_counted_true(header, records):
     header["total_count"] = True
 
 
+def _universe_over_cap(header, records):
+    records[0]["base_facts"] += [f"[F{i}]=True" for i in range(30, 45)]
+
+
+# a record or header the reader refuses, and the start of the usage error
+# every read command prints for it
+_SCHEMA_VIOLATIONS = {
+    "unknown-key": (_set("future", {"x": 1}), "unknown keys ['future']"),
+    "id-null": (_set("id", None), "id None is not a non-empty string"),
+    "id-int": (_set("id", 5), "id 5 is not a non-empty string"),
+    "id-list": (_set("id", [1]), "id [1] is not a non-empty string"),
+    "id-empty": (_set("id", ""), "id '' is not a non-empty string"),
+    "context-zero": (_set("context", 0), "context 0 is not null or an object"),
+    "context-list": (_set("context", []), "context [] is not null or an object"),
+    "context-extra-key": (_set("context", {"name": "A", "background": "B", "age": "C"}),
+                          "context {"),
+    "nl-int": (_set("nl", 5), "nl must be null or an object, not int"),
+    "header-seed-text": (_set("seed", "x", "header"), "header seed 'x' is not an integer"),
+    "header-seed-over-int64": (_set("seed", 2 ** 63, "header"),
+                               f"header seed {2 ** 63} is outside the signed 64-bit range"),
+    "universe-over-cap": (_universe_over_cap, "malformed instance record: universe of"),
+}
+
 _ALL_TEMPLATES_ZERO = "".join(f"template_weight.{t.value} = 0\n" for t in RuleTemplate)
 _ERROR_TYPES = tuple(e.value for e in ErrorType)
 
@@ -669,6 +763,12 @@ _ERROR_TYPES = tuple(e.value for e in ErrorType)
 _BAD_INPUTS = {
     **{f"not-utf8-{c}": (_corpus(c, _not_utf8), 2, "cannot read corpus: 'utf-8' codec")
        for c in ("verify", "stats", "realize", "eval")},
+    **{f"{case}-{c}": (_corpus(c, tamper), 2, f"cannot read corpus: {text}")
+       for case, (tamper, text) in _SCHEMA_VIOLATIONS.items()
+       for c in ("verify", "stats", "realize", "eval")},
+    "synth-seed-over-int64": (lambda d, header, records: [
+        "synth", "--count", "2", "--seed", str(2 ** 63), "--out", str(d / "out" / "c.jsonl")],
+        2, f"usage error: seed {2 ** 63} is outside the signed 64-bit range"),
     "template-weights-all-zero": (_synth(_ALL_TEMPLATES_ZERO), 2, "usage error: "),
     "weights-all-zero-config": (
         _synth("".join(f"weight.{e} = 0\n" for e in _ERROR_TYPES)), 2, "usage error: "),

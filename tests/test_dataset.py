@@ -26,7 +26,7 @@ from counterchain import (
     verify_chain,
     verify_first_error,
 )
-from counterchain.dataset import build_instance, derive_seed, type_schedule
+from counterchain.dataset import _KNOWN_KEYS, build_instance, derive_seed, type_schedule
 
 from . import fixtures
 
@@ -112,15 +112,14 @@ def test_malformed_record_carries_line_number():
     assert "line 17" in str(err.value)
 
 
-def test_unknown_fields_survive_round_trip():
+def test_unknown_field_is_a_malformed_record():
     line = serialize_instance(fixtures.bakery_instance())
     obj = json.loads(line)
+    # the writer's keys are the reader's schema
+    assert obj.keys() == _KNOWN_KEYS
     obj["future_field"] = {"nested": [1, 2, 3]}
-    mutated = json.dumps(obj, separators=(",", ":"))
-    back = deserialize_instance(mutated)
-    assert back.extras["future_field"] == {"nested": [1, 2, 3]}
-    assert json.loads(serialize_instance(back))["future_field"] == \
-        {"nested": [1, 2, 3]}
+    with pytest.raises(MalformedRecordError, match=r"unknown keys \['future_field'\] \(line 4\)"):
+        deserialize_instance(json.dumps(obj), line_number=4)
 
 
 def test_erroneous_steps_equal_to_the_correct_ones_are_shared(tmp_path):
@@ -298,11 +297,11 @@ def test_bytes_gate_tool_reports_each_run(tmp_path):
     workload and worker count, then each read command's exit code and
     digests, and last the exit code and stdout digest of ``verify`` on a
     tampered copy; it exits 0 when the worker counts agree, every read exits 0
-    and ``verify`` prints a FAIL line for every tampered record. Seven records
-    get each of the seven edits once."""
+    and ``verify`` prints a FAIL line for every tampered record. Nine records
+    get each of the nine edits once."""
     root = Path(__file__).resolve().parents[1]
     result = subprocess.run([sys.executable, str(root / "tools" / "bytes_gate.py"),
-                             "--count", "7", "--read"], cwd=tmp_path, capture_output=True,
+                             "--count", "9", "--read"], cwd=tmp_path, capture_output=True,
                             text=True, timeout=300)
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()

@@ -12,6 +12,7 @@ import pytest
 
 from counterchain import CorpusConfig, MalformedRecordError, generate_corpus, stream_corpus
 from counterchain.cli import main
+from counterchain.dataset import derive_seed, instance_id
 
 from .fixtures import peak_rss_mb
 
@@ -35,15 +36,20 @@ def _write(path, header: dict, lines: list[str]) -> None:
 
 @pytest.fixture(scope="module")
 def short_and_long(tmp_path_factory):
-    """A 24-record corpus, and the same records repeated ``COPIES`` times."""
+    """A 24-record corpus, and the same records repeated ``COPIES`` times,
+    each copy with the id and seed of its position."""
     d = tmp_path_factory.mktemp("memory")
     short = d / "short.jsonl"
     generate_corpus(CorpusConfig(total_count=24, seed=3), str(short))
-    header, *records = short.read_text().splitlines()
-    header = json.loads(header)
-    header["total_count"] = len(records) * COPIES
+    header, *records = [json.loads(line) for line in short.read_text().splitlines()]
+    copies = []
+    for index, record in enumerate(records * COPIES):
+        record = dict(record, id=instance_id(header["seed"], index),
+                      seed=derive_seed(header["seed"], index))
+        copies.append(json.dumps(record, separators=(",", ":")))
+    header["total_count"] = len(copies)
     long = d / "long.jsonl"
-    _write(long, header, records * COPIES)
+    _write(long, header, copies)
     return short, long
 
 

@@ -23,7 +23,7 @@ realized file is the same in every checkout.
 
 ``--read`` then pins ``verify``'s FAIL text: it writes a tampered copy of each
 ``--workers 1`` corpus, the header and the first 12 records, where record i
-gets edit ``i % 7`` of ``_tamper``, runs ``verify`` on it and prints the exit
+gets edit ``i % 9`` of ``_tamper``, runs ``verify`` on it and prints the exit
 code and the sha256 of its stdout. It exits 1 when that ``verify`` does not
 exit 1 or does not print one FAIL line per tampered record.
 """
@@ -67,8 +67,9 @@ READS = (
 )
 
 
-# records in a tampered copy; record i gets edit i % 7 of ``_tamper``
+# records in a tampered copy; record i gets edit i % EDITS of ``_tamper``
 TAMPERED_RECORDS = 12
+EDITS = 9
 
 STRUCTURAL = ("converse_error", "redundant_step", "missing_prerequisite",
               "circular_reference")
@@ -87,11 +88,12 @@ def _relabelled(error_type: str) -> str:
     return "drop_condition" if error_type == "implication_misuse" else "implication_misuse"
 
 
-def _tamper(record: dict, edit: int) -> None:
-    """Edit ``edit`` (0-6) of a record's JSON object: negate correct step 2's
+def _tamper(record: dict, edit: int, previous: dict) -> None:
+    """Edit ``edit`` (0-8) of a record's JSON object: negate correct step 2's
     conclusion, drop correct step 3's first support, give correct step 2 the
     last rule, flip the first base fact, move k one step on, replace
-    erroneous step k by correct step k, or relabel the error type."""
+    erroneous step k by correct step k, relabel the error type, add 1 to the
+    seed, or give it the id of ``previous``, the record before it."""
     correct, k = record["correct_steps"], record["first_error_index"]
     if edit == 0:
         correct[1]["conclusion"] = _negated(correct[1]["conclusion"])
@@ -105,8 +107,12 @@ def _tamper(record: dict, edit: int) -> None:
         record["first_error_index"] = k + 1
     elif edit == 5:
         record["erroneous_steps"][k - 1] = correct[k - 1]
-    else:
+    elif edit == 6:
         record["error_type"] = _relabelled(record["error_type"])
+    elif edit == 7:
+        record["seed"] += 1
+    else:
+        record["id"] = previous["id"]
 
 
 def _tampered_copy(corpus: Path, out: Path) -> int:
@@ -117,7 +123,7 @@ def _tampered_copy(corpus: Path, out: Path) -> int:
                         corpus.read_text(encoding="utf-8").splitlines()[:TAMPERED_RECORDS + 1]]
     header["total_count"] = len(records)
     for i, record in enumerate(records):
-        _tamper(record, i % 7)
+        _tamper(record, i % EDITS, records[i - 1])
     out.write_text("".join(json.dumps(obj, separators=(",", ":")) + "\n"
                            for obj in (header, *records)), encoding="utf-8")
     return len(records)
