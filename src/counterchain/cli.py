@@ -42,6 +42,7 @@ from .dataset import (
     SCHEMA_VERSION,
     generate_corpus,
     position_mismatches,
+    realized_header,
     serialize_instance,
     stored_field_mismatches,
     stream_corpus,
@@ -56,7 +57,7 @@ from .evaluation import (
 )
 from .injection import ErrorType, Instance, verify_first_error
 from .logic import RuleTemplate
-from .realize import PredicateMapInvalid, leak_lint, realized, stored_text_mismatches
+from .realize import NL_MODES, PredicateMapInvalid, leak_lint, realized, stored_text_mismatches
 from .synthesis import SynthesisConfig, SynthesisExhausted, verify_chain
 
 EXIT_OK = 0
@@ -280,11 +281,8 @@ def cmd_verify(args) -> int:
 def cmd_realize(args) -> int:
     count = violations_total = 0
     with _writer(args.out) as fh:
-        fh.write(json.dumps({"record": "header", "schema_version": SCHEMA_VERSION,
-                             "realized_from": args.corpus,
-                             "nl_mode": args.nl_mode,
-                             "config_digest": _flags_digest("realize", args.nl_mode)},
-                            separators=(",", ":")) + "\n")
+        fh.write(realized_header(args.corpus, args.nl_mode,
+                                 _flags_digest("realize", args.nl_mode)) + "\n")
         for inst in _corpus(args.corpus)[1]:
             try:
                 inst = realized(inst, nl_mode=args.nl_mode)
@@ -383,8 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     realize_cmd = sub.add_parser("realize", help="attach natural language")
     realize_cmd.add_argument("corpus")
     realize_cmd.add_argument("--out", required=True)
-    realize_cmd.add_argument("--nl-mode", choices=("clean", "annotated"),
-                             default="clean")
+    realize_cmd.add_argument("--nl-mode", choices=NL_MODES, default="clean")
     realize_cmd.set_defaults(func=cmd_realize)
 
     evaluate = sub.add_parser("eval", help="score a judge and/or pools")

@@ -9,9 +9,9 @@ stay human-auditable. An instance record holds only the keys of
 object of string ``name`` and ``background``, an ``nl`` that is not null or
 an object, a header ``seed`` that is not a signed 64-bit integer), is a
 malformed record, and so is a record naming more facts than the prover's
-cap. ``stream_corpus`` reads a file one record at a time, so a reader's
-memory does not grow with the file; ``read_corpus`` collects the same
-records into a list.
+cap, and a header key outside ``_HEADER_KEYS``. ``stream_corpus`` reads a
+file one record at a time, so a reader's memory does not grow with the file;
+``read_corpus`` collects the same records into a list.
 
 Corpus generation hits the configured error-type mix exactly: the weight
 table is converted into per-type quotas by largest remainder, shuffled into a
@@ -44,6 +44,7 @@ from .injection import (
     verify_first_error,
 )
 from .logic import parse_literal, parse_rule, render_literal, render_rule
+from .realize import NL_MODES
 from .synthesis import CorrectChain, Step, SynthesisConfig, synthesize_chain, verify_chain
 
 SCHEMA_VERSION = 1
@@ -304,15 +305,24 @@ def deserialize_instance(line: str, line_number: Optional[int] = None) -> Instan
                                    line_number) from exc
 
 
+# every key a header may hold, of either writer below; the reader refuses any other
+_HEADER_KEYS = frozenset(("record", "schema_version", "seed", "total_count",
+                          "config_digest", "realized_from", "nl_mode"))
+
+
+def _header(**fields) -> str:
+    return json.dumps({"record": "header", "schema_version": SCHEMA_VERSION, **fields},
+                      separators=(",", ":"))
+
+
 def header_record(cfg: "CorpusConfig") -> str:
-    obj = {
-        "record": "header",
-        "schema_version": SCHEMA_VERSION,
-        "seed": cfg.seed,
-        "total_count": cfg.total_count,
-        "config_digest": cfg.digest(),
-    }
-    return json.dumps(obj, separators=(",", ":"))
+    """The header ``synth`` writes."""
+    return _header(seed=cfg.seed, total_count=cfg.total_count, config_digest=cfg.digest())
+
+
+def realized_header(source: str, nl_mode: str, config_digest: str) -> str:
+    """The header ``realize`` writes, of a corpus realized from the file ``source``."""
+    return _header(realized_from=source, nl_mode=nl_mode, config_digest=config_digest)
 
 
 def _parse_header(line: str, line_number: int) -> Optional[dict]:
@@ -326,6 +336,15 @@ def _parse_header(line: str, line_number: int) -> Optional[dict]:
     version = obj.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaMismatchError(f"schema_version {version!r} unsupported")
+    unknown = obj.keys() - _HEADER_KEYS
+    if unknown:
+        raise MalformedRecordError(f"unknown header keys {sorted(unknown)}", line_number)
+    for key in ("config_digest", "realized_from"):
+        if not isinstance(obj.get(key, ""), str):
+            raise MalformedRecordError(f"header {key} {obj[key]!r} is not a string", line_number)
+    if obj.get("nl_mode", NL_MODES[0]) not in NL_MODES:
+        raise MalformedRecordError(f"header nl_mode {obj['nl_mode']!r} is not one of "
+                                   f"{list(NL_MODES)}", line_number)
     if obj.get("total_count") is not None:
         _integer(obj["total_count"], "header total_count", line_number)
     seed = obj.get("seed")

@@ -116,12 +116,7 @@ def spare_implications(chain: CorrectChain) -> tuple[Rule, ...]:
                  if r.template is RuleTemplate.IMPL and r not in cited)
 
 
-def _established_literals(chain: CorrectChain, upto: int) -> set[Literal]:
-    """Base facts plus conclusions of steps before 1-based position ``upto``."""
-    out = set(chain.base_facts)
-    for step in chain.steps[: upto - 1]:
-        out.add(step.conclusion)
-    return out
+_established_literals = CorrectChain.established_before
 
 
 def _applied_pattern(step: Step) -> Optional[InferencePattern]:
@@ -241,7 +236,7 @@ def _non_derivable(err: ErroneousChain, prefix: Prefix) -> list[str]:
     problems = []
     if not step.supports:
         problems.append("corrupted step cites no support")
-    elif not prefix.established.issuperset(step.supports):
+    elif any(prefix.known.get(lit.fact) != lit for lit in step.supports):
         problems.append("corrupted step cites a support not established")
     elif not step.support_facts() <= set(step.rule.facts()) - {step.conclusion.fact}:
         problems.append("corrupted step cites a support outside its rule")
@@ -451,7 +446,7 @@ def verify_first_error(inst: Instance) -> InstanceReport:
     else:
         row = ROWS[err.error_type]
         if row.group is ErrorGroup.STRUCTURAL:
-            problem = row.check(err, prefix.established)
+            problem = row.check(err, set(prefix.known.values()))
             if problem is not None:
                 failures.append(f"structural predicate failed: {problem}")
         else:

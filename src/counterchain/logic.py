@@ -253,15 +253,11 @@ class StateConflictError(ValueError):
     """Raised when an assignment would silently flip an established value."""
 
 
-def assign_literal(values: dict[FactId, bool], lit: Literal) -> None:
-    """Set ``lit`` in a plain assignment, in place; ``StateConflictError``
-    when it would flip an established value. The hot loops fill one dict
-    with this instead of copying a ``State`` per literal."""
-    fact, value = lit
-    current = values.get(fact)
-    if current is not None and current != value:
-        raise StateConflictError(f"{fact} is already {current}, refusing {value}")
-    values[fact] = value
+def assign_literal(known: dict[FactId, Literal], lit: Literal) -> None:
+    """Set ``lit`` in place in ``known``, which maps each assigned fact to its
+    literal; ``StateConflictError`` when it would flip an established value."""
+    if known.setdefault(lit.fact, lit) != lit:
+        raise StateConflictError(f"{lit.fact} is already {not lit.value}, refusing {lit.value}")
 
 
 class State:
@@ -282,12 +278,10 @@ class State:
     def with_literal(self, lit: Literal, *, overwrite: bool = False) -> "State":
         """Extend with one literal. Flipping an established value requires
         overwrite=True; counterfactual recomputation is the only caller that does."""
-        updated = dict(self._assignment)
-        if overwrite:
-            updated[lit.fact] = lit.value
-        else:
-            assign_literal(updated, lit)
-        return State(updated)
+        fact, value = lit
+        if not overwrite and self._assignment.get(fact, value) != value:
+            raise StateConflictError(f"{fact} is already {not value}, refusing {value}")
+        return State({**self._assignment, fact: value})
 
     def with_literals(self, lits, *, overwrite: bool = False) -> "State":
         state = self

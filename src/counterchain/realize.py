@@ -24,6 +24,8 @@ from .injection import ContextProfile, Instance
 from .logic import FactId, Literal, Rule
 from .synthesis import Step
 
+NL_MODES = ("clean", "annotated")  # the modes ``realized`` takes
+
 LEAK_WORDS: tuple[str, ...] = (
     "error", "mistake", "wrong", "invalid", "unsupported", "evidence",
     "established", "assumes", "depends", "relies", "repeats", "restates",
@@ -285,7 +287,7 @@ def realize_instance(inst: Instance, pmap: PredicateMap, mode: str = "clean",
     never part of the step text. A record that names a fact ``pmap`` does not
     cover, one outside its universe, raises ``PredicateMapInvalid``.
     """
-    if mode not in ("clean", "annotated"):
+    if mode not in NL_MODES:
         raise ValueError(f"unknown nl mode: {mode!r}")
     stray = next((f for f in _mentioned_facts(inst) if f not in pmap.entries), None)
     if stray is not None:

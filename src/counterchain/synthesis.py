@@ -16,10 +16,11 @@ Synthesis itself proves nothing: ``dataset.build_instance`` runs
 ``verify_chain`` once, on the chain it stores, so no prover work goes to the
 candidates that are drawn and then discarded.
 
-The inner loops run on plain values: one dict holds a walk's assignment, the
-shapes and side-step rows are unpacked at import, and each weighted draw or
-two-item shuffle takes exactly the RNG draws ``Random.choices`` or
-``Random.shuffle`` would take, so a chain is the same function of its seed.
+The inner loops run on plain values: one dict maps each fact of a walk's
+assignment to its literal, as in ``Prefix``; the shapes and side-step rows are
+unpacked at import; and each weighted draw or two-item shuffle takes exactly
+the RNG draws ``Random.choices`` or ``Random.shuffle`` would take, so a chain
+is the same function of its seed.
 """
 
 from __future__ import annotations
@@ -103,28 +104,27 @@ class CorrectChain:
             facts.update(step.support_facts())
         return theory_for(self.rules, facts)
 
-    def base_state(self) -> State:
-        return State({l.fact: l.value for l in self.base_facts})
+    def established_before(self, index: int) -> set[Literal]:
+        """Base facts plus conclusions of steps before 1-based ``index``; a
+        fact stated with both values keeps both literals."""
+        return {*self.base_facts, *(step.conclusion for step in self.steps[:index - 1])}
 
     def state_before(self, index: int) -> State:
-        """Prefix state: base facts plus conclusions of steps before ``index``."""
-        state = self.base_state()
-        for step in self.steps[: index - 1]:
-            state = state.with_literal(step.conclusion)
-        return state
+        """``established_before`` as a ``State``, which refuses a flip."""
+        return State().with_literals(self.established_before(index))
+
+    def base_state(self) -> State:
+        return self.state_before(1)
 
 
 def step_supports(rule: Rule, conclusion_fact: FactId, state: State) -> tuple[Literal, ...]:
     """Known rule facts, in slot order, excluding the concluded fact."""
-    values = state._assignment
-    return known_supports(rule, conclusion_fact,
-                          {f: Literal(f, values[f]) for f in rule.slots if f in values})
+    return known_supports(rule, conclusion_fact, {l.fact: l for l in state.literals()})
 
 
 def known_supports(rule: Rule, conclusion_fact: FactId,
                    known: Mapping[FactId, Literal]) -> tuple[Literal, ...]:
-    """``step_supports`` where ``known`` maps each assigned fact to its
-    literal, so no literal is built."""
+    """``step_supports`` over ``known``, which maps each assigned fact to its literal."""
     return tuple([known[f] for f in rule.slots if f != conclusion_fact and f in known])
 
 
@@ -450,23 +450,23 @@ def _emit(node: _Node, rng: random.Random, out: list[_Node]) -> None:
     out.append(node)
 
 
-def _split(values: Mapping[FactId, bool]) -> tuple[list[FactId], list[FactId]]:
+def _split(known: Mapping[FactId, Literal]) -> tuple[list[FactId], list[FactId]]:
     """The known facts of an assignment, in fact order, as (true ones, false ones)."""
-    known = sorted(values)
-    return [f for f in known if values[f]], [f for f in known if not values[f]]
+    lits = sorted(known.values())
+    return [f for f, v in lits if v], [f for f, v in lits if not v]
 
 
-def _side_step(builder: _Builder, values: Mapping[FactId, bool],
+def _side_step(builder: _Builder, known: Mapping[FactId, Literal],
                ahead: set[FactId]) -> Optional[tuple[Rule, Literal]]:
-    """One step over the established facts ``values`` whose fresh conclusion
+    """One step over the established facts ``known`` whose fresh conclusion
     nothing consumes, drawn from ``_SIDE_ROWS``. ``ahead`` holds the facts
     later steps mention; corruption targets picked outside it stay inert
     downstream, so the retired pools prefer those."""
     rng = builder.rng
-    if not values or builder.budget_left() <= 0:
+    if not known or builder.budget_left() <= 0:
         return None
-    trues, falses = _split(values)
-    assigned = sorted(values)
+    trues, falses = _split(known)
+    assigned = sorted(known)
     # by pool; the retired pools are built when a row first draws from them
     pools: list[Optional[list[FactId]]] = [trues, falses, None, None, assigned, falses,
                                            assigned]
@@ -491,7 +491,7 @@ def _side_step(builder: _Builder, values: Mapping[FactId, bool],
                 break
             slots[slot] = rng.choice(left)
         else:
-            slot, value = row.derived[tuple(values[slots[s]] for s in row.premise_slots)]
+            slot, value = row.derived[tuple(known[slots[s]][1] for s in row.premise_slots)]
             conclusion = Literal(builder.fresh_fact(value), value)
             slots[slot] = conclusion.fact
             rule = Rule(row.template, tuple(slots))  # type: ignore[arg-type]
@@ -502,13 +502,13 @@ def _side_step(builder: _Builder, values: Mapping[FactId, bool],
     return None
 
 
-def _plant_spare_impls(builder: _Builder, values: Mapping[FactId, bool], count: int,
+def _plant_spare_impls(builder: _Builder, known: Mapping[FactId, Literal], count: int,
                        distractors: int) -> None:
     """Implication rules no step cites, satisfied by the intended model: ``count``
     alternating a true consequent under an unassigned antecedent and a false
     antecedent paired with a true consequent, then ``distractors`` of the latter."""
     rng = builder.rng
-    trues, falses = _split(values)
+    trues, falses = _split(known)
     for i in range(count + distractors):
         if i < count and i % 2 == 0 and trues and builder.budget_left() > 0:
             x = rng.choice(trues)
@@ -603,26 +603,23 @@ def _try_build(cfg: SynthesisConfig, rng: random.Random) -> Optional[CorrectChai
     if tokens is None:
         return None
 
-    # the walk's assignment, the base facts and then each step's conclusion,
-    # by value and by literal
+    # the walk's assignment, each fact's literal: base facts, then conclusions
     steps: list[Step] = []
-    values = {l.fact: l.value for l in builder.leaves}
     known = {l.fact: l for l in builder.leaves}
     for pos, token in enumerate(tokens):
         if token is None:
             ahead = {f for later in tokens[pos + 1:] if later is not None
                      for f in later.rule.slots}
-            made = _side_step(builder, values, ahead)
+            made = _side_step(builder, known, ahead)
             if made is None:
                 return None
             rule, concl = made
         else:
             rule, concl = token.rule, token.conclusion
         steps.append(Step(pos + 1, known_supports(rule, concl.fact, known), rule, concl))
-        assign_literal(values, concl)
-        known[concl.fact] = concl
+        assign_literal(known, concl)
 
-    _plant_spare_impls(builder, values, cfg.spare_impl_rules, cfg.distractor_rules)
+    _plant_spare_impls(builder, known, cfg.spare_impl_rules, cfg.distractor_rules)
     chain = CorrectChain(base_facts=tuple(builder.leaves), rules=tuple(builder.rules),
                          steps=tuple(steps), goal=goal)
     cost = min_derivation_cost(chain.rules, chain.base_facts, goal)
@@ -656,31 +653,26 @@ class ChainReport:
 class Prefix:
     """A theory's model table replayed over a growing prefix.
 
-    ``values`` (the prefix's assignment as a plain dict, read-only to
-    callers) and ``established`` start from ``literals``; ``state`` is a copy
-    of ``values`` as a ``State``. The table is built with the start fixed, so
-    it spans only the facts the start leaves free, and ``rows`` starts as all
-    of its rows. ``extend`` is the only code that grows the prefix, and it
-    narrows ``rows`` with ``table.restrict``, so ``rows`` always equals
-    ``table.restrict_state(state)`` (restriction is an AND, and a fixed
-    fact's column is constant).
+    ``known`` (read-only to callers) maps each fact the prefix assigns to its
+    literal, starting from ``literals``; ``state`` is a copy of it as a
+    ``State``. The table is built with the start fixed, so it spans only the
+    facts the start leaves free, and ``rows`` starts as all of its rows.
+    ``extend``, the only code that grows the prefix, narrows ``rows`` with
+    ``table.restrict``, so ``rows`` always equals ``table.restrict_state(state)``
+    (restriction is an AND, and a fixed fact's column is constant).
     """
 
     def __init__(self, theory: Theory, literals: Iterable[Literal]):
-        literals = tuple(literals)
-        self.values: dict[FactId, bool] = {l.fact: l.value for l in literals}
-        self.table = model_table(theory, tuple(Literal(f, v) for f, v
-                                               in sorted(self.values.items())))
+        self.known: dict[FactId, Literal] = {l.fact: l for l in literals}
+        self.table = model_table(theory, tuple(sorted(self.known.values())))
         self.rows = self.table.rows
-        self.established = set(literals)
 
     @property
     def state(self) -> State:
-        return State(self.values)
+        return State(dict(self.known.values()))
 
     def extend(self, lit: Literal) -> None:
-        assign_literal(self.values, lit)
-        self.established.add(lit)
+        assign_literal(self.known, lit)
         self.rows = self.table.restrict(self.rows, lit)
 
     def check(self, step: Step) -> list[str]:
@@ -690,23 +682,23 @@ class Prefix:
         concluded fact; the concluded fact already assigned; a support or the
         conclusion neither assigned nor entailed; supports other than the
         rule's assigned facts in slot order (``known_supports``). Empty if valid."""
-        values, rule = self.values, step.rule
+        known, rule = self.known, step.rule
         supports, conclusion = step.supports, step.conclusion
         slots, concluded = rule.slots, conclusion.fact
         faults = []
-        if not self.established.issuperset(supports):
+        if any([known.get(lit[0]) != lit for lit in supports]):
             faults.append("support not established")
         if (any(fact == concluded or fact not in slots for fact, _ in supports)
                 or match_pattern(rule, supports, conclusion) is None):
             faults.append("no licensed pattern matches")
-        if concluded in values:
+        if concluded in known:
             faults.append("fact concluded twice")
         entailed, rows = self.table.entailed, self.rows
         for lit in (*supports, conclusion):
-            if values.get(lit.fact) != lit.value and not entailed(rows, lit):
+            if known.get(lit[0]) != lit and not entailed(rows, lit):
                 faults.append("not entailed by prefix")
                 break
-        if supports != tuple([(f, values[f]) for f in slots if f != concluded and f in values]):
+        if supports != known_supports(rule, concluded, known):
             faults.append("supports are not the known rule facts")
         return faults
 
@@ -728,7 +720,7 @@ def verify_chain(chain: CorrectChain) -> ChainReport:
         return ChainReport(False, (f"theory: {exc}",))
 
     prefix = Prefix(theory, chain.base_facts)
-    if len(prefix.values) != len(chain.base_facts):
+    if len(prefix.known) != len(chain.base_facts):
         failures.append("base facts assign some fact twice")
     if not prefix.rows:
         failures.append("base facts are inconsistent with the rules")
@@ -740,7 +732,7 @@ def verify_chain(chain: CorrectChain) -> ChainReport:
             failures.append(f"step {step.index}: rule not in the chain's rule list")
         for fault in prefix.check(step):
             failures.append(f"step {step.index}: {fault}")
-        if step.conclusion.fact not in prefix.values:
+        if step.conclusion.fact not in prefix.known:
             prefix.extend(step.conclusion)
 
     try:

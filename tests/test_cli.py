@@ -753,6 +753,13 @@ _SCHEMA_VIOLATIONS = {
     "header-seed-text": (_set("seed", "x", "header"), "header seed 'x' is not an integer"),
     "header-seed-over-int64": (_set("seed", 2 ** 63, "header"),
                                f"header seed {2 ** 63} is outside the signed 64-bit range"),
+    "header-unknown-key": (_set("future", {"x": 1}, "header"),
+                           "unknown header keys ['future'] (line 1)"),
+    "header-config-digest-int": (_set("config_digest", 7, "header"),
+                                 "header config_digest 7 is not a string (line 1)"),
+    "header-nl-mode-unknown": (_set("nl_mode", "loud", "header"),
+                               "header nl_mode 'loud' is not one of ['clean', 'annotated'] "
+                               "(line 1)"),
     "universe-over-cap": (_universe_over_cap, "malformed instance record: universe of"),
 }
 

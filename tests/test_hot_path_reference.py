@@ -79,6 +79,12 @@ class RefPrefix:
         self.rows = self.table.rows
         self.established = set(literals)
 
+    @property
+    def known(self) -> dict[FactId, Literal]:
+        # the assignment as ``Prefix`` holds it, which the truth-state
+        # ``row.check`` reads
+        return {l.fact: l for l in self.state.literals()}
+
     def extend(self, lit: Literal) -> None:
         self.state = self.state.with_literal(lit)
         self.established.add(lit)
@@ -338,7 +344,7 @@ def _walk_both(theory, start, steps, tampered=None) -> tuple[int, dict]:
             checks += 1
             for fault in got:
                 failed[fault] += 1
-        assert new.values == ref.state._assignment and new.rows == ref.rows
+        assert new.state == ref.state and new.rows == ref.rows
         if "fact concluded twice" not in new.check(step):
             new.extend(step.conclusion)
             ref.extend(step.conclusion)

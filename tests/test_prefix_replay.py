@@ -3,7 +3,9 @@
 table up once, built with the state they start from fixed, and narrow its rows
 step by step. The carried rows must equal the rows restricted from scratch at
 every position, each decision must match the full table's, and the verdicts
-the walks return must not depend on how the rows were obtained."""
+the walks return must not depend on how the rows were obtained. The facts a
+``Prefix`` holds after a chain's first k - 1 steps are the chain's own fold,
+``CorrectChain.established_before(k)``."""
 
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from counterchain import (
 )
 from counterchain import synthesis
 from counterchain.dataset import deserialize_instance, generate_instances
+from counterchain.logic import State, StateConflictError
 from counterchain.prover import ModelTable
 
 from . import fixtures
@@ -130,6 +133,31 @@ def test_carried_rows_equal_rows_restricted_from_scratch(cases, monkeypatch):
     assert min(calls.values()) > len(cases)
     assert mismatches == []
     assert disagreements == []
+
+
+def test_one_fold_gives_the_facts_before_each_step():
+    """``CorrectChain.established_before`` is the one fold of a chain's base
+    facts and earlier conclusions: ``state_before`` is it as a ``State``, and
+    ``Prefix`` replayed over the same steps holds the same literals."""
+    instances, checked = _instances(), 0
+    for inst in instances:
+        chain = inst.correct
+        theory = chain.theory()
+        for k in range(1, len(chain.steps) + 2):
+            established = chain.established_before(k)
+            assert chain.state_before(k) == State({l.fact: l.value for l in established})
+            prefix = synthesis.Prefix(theory, chain.base_facts)
+            assert prefix.replay(chain.steps[:k - 1]) == k - 1
+            assert set(prefix.known.values()) == established
+            checked += 1
+    assert checked > 100
+    # a fact stated with both values keeps both literals, and only the
+    # ``State`` refuses the flip
+    chain = instances[0].correct
+    flipped = replace(chain, base_facts=chain.base_facts + (chain.base_facts[0].negated(),))
+    assert {chain.base_facts[0], chain.base_facts[0].negated()} <= flipped.established_before(1)
+    with pytest.raises(StateConflictError):
+        flipped.state_before(1)
 
 
 # sha256 of the canonical JSON of ``_walk_all`` over every case, in order; it

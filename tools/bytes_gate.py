@@ -25,7 +25,10 @@ realized file is the same in every checkout.
 ``--workers 1`` corpus, the header and the first 12 records, where record i
 gets edit ``i % 9`` of ``_tamper``, runs ``verify`` on it and prints the exit
 code and the sha256 of its stdout. It exits 1 when that ``verify`` does not
-exit 1 or does not print one FAIL line per tampered record.
+exit 1 or does not print one FAIL line per tampered record. Last, it adds an
+unknown key to the header of each ``--workers 1`` corpus, runs ``verify`` on
+that copy and prints the exit code and the sha256 of its stderr; it exits 1
+when that ``verify`` does not exit 2, the exit of a malformed record.
 """
 
 from __future__ import annotations
@@ -129,6 +132,14 @@ def _tampered_copy(corpus: Path, out: Path) -> int:
     return len(records)
 
 
+def _unknown_header_key(corpus: Path, out: Path) -> None:
+    """Writes ``corpus`` with a key outside the header schema in its header."""
+    header, rest = corpus.read_text(encoding="utf-8").split("\n", 1)
+    obj = json.loads(header)
+    obj["future"] = {"x": 1}
+    out.write_text(json.dumps(obj, separators=(",", ":")) + "\n" + rest, encoding="utf-8")
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -184,6 +195,11 @@ def run(count: int, workdir: Path, read: bool = False) -> tuple[list[str], bool]
                 lines.append(f"{name}: verify failed {failed} of {tampered} tampered records")
                 ok = False
             ok = ok and done.returncode == 1
+            _unknown_header_key(workdir / f"{name}-w1.jsonl", workdir / f"{name}-header.jsonl")
+            done = _cli(["verify", f"{name}-header.jsonl"], workdir)
+            lines.append(f"{name} verify-header-key exit {done.returncode} "
+                         f"stderr {hashlib.sha256(done.stderr).hexdigest()}")
+            ok = ok and done.returncode == 2
     return lines, ok
 
 
